@@ -22,6 +22,7 @@ stderr only.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
 
@@ -136,7 +137,8 @@ def _emit(doc: dict, args) -> None:
 # argument handling
 
 def _parse_s_spec(spec: str):
-    """One --s value: '0.5', '0.2:0.8:7' (lo:hi:count) or '0.5+0.2i'."""
+    """One --s value: '0.5', '0.2:0.8:7' (lo:hi:count) or '0.5+0.2i'.
+    Every point must be finite."""
     spec = spec.strip()
     if ":" in spec:
         parts = spec.split(":")
@@ -146,12 +148,16 @@ def _parse_s_spec(spec: str):
         if count < 1:
             raise ValueError("grid spec needs at least one point")
         if count == 1:
-            return [lo]
-        return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
-    if "i" in spec:
-        z = complex(spec.replace(" ", "").replace("i", "j"))
-        return [z]
-    return [float(spec)]
+            pts = [lo]
+        else:
+            pts = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    elif spec.endswith("i"):
+        pts = [complex(spec.replace(" ", "")[:-1] + "j")]
+    else:
+        pts = [float(spec)]
+    if not all(cmath.isfinite(s) for s in pts):
+        raise ValueError(f"s must be finite, got {spec!r}")
+    return pts
 
 
 def _collect_grid(args):
@@ -264,11 +270,13 @@ def _mellin_runner(args, tol):
     """(label, s -> QuadResult) for the three addressing modes."""
     budget = args.max_evals
     kwargs = {"tol": tol}
-    if budget:
+    if budget is not None:
+        if budget < 1:
+            raise ValueError(f"--max-evals must be at least 1, got {budget}")
         kwargs["max_evals"] = budget
     if args.identity:
         case = harness.get_case(args.identity)
-        return f"mellin:{args.identity}", lambda s: case.lhs(s, tol)
+        return f"mellin:{args.identity}", case.lhs(tol)
     if args.coeff:
         h = series.handle(catalog.kernel(args.kernel),
                           catalog.coefficient(args.coeff))

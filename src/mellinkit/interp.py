@@ -316,17 +316,32 @@ def check_weight_nonneg(kernel_id: str, samples=None) -> WeightReport:
     return WeightReport(kernel_id, best, arg, best >= -1e-12)
 
 
-def _represented_h(kernel_id: str, quad_tol: float):
+def _strip_unit(kernel_id: str):
+    """h = 1 on the strip where the kernel's representation converges;
+    raises StripViolationError for a point outside it. A margins pass with
+    it checks every point a check will request, in the order it requests
+    them, before any quadrature."""
     lo, hi = _REPRESENTABLE.get(kernel_id, (0.0, 1.0))
-    cache: dict = {}
 
-    def h_eval(t: float) -> float:
+    def unit(t: float) -> float:
         if not lo < t < hi:
             raise StripViolationError(
                 f"{kernel_id} representation converges on ({lo}, {hi}); "
                 f"requested h({t})")
+        return 1.0
+
+    return unit
+
+
+def _represented_h(kernel_id: str, quad_tol: float):
+    """h through the kernel's integral representation, one run per check;
+    the caller has checked the points against the strip (``_strip_unit``)."""
+    run = harness._representation_run(kernel_id, quad_tol)
+    cache: dict = {}
+
+    def h_eval(t: float) -> float:
         if t not in cache:
-            val = harness.integral_representation(kernel_id, t, tol=quad_tol).value
+            val = run(t).value
             cache[t] = val.real if isinstance(val, complex) else val
         return cache[t]
 
@@ -368,13 +383,16 @@ def check_logconvexity(kernel_id: str, pairs, tol: float = 1e-9) -> PropertyRepo
     Each margin is computed as hx * (hy / hx)**b - h(x + b*(y - x)) with
     the pair put in order x <= y (`_logconvexity_margins`), so pairs with
     x == y give exactly 0. The reported argmin is the first pair, in the
-    given order, among those tied at the least margin."""
+    given order, among those tied at the least margin. Every requested
+    point is checked against the representation's strip before any
+    quadrature (StripViolationError)."""
     wr = check_weight_nonneg(kernel_id)
     if not wr.nonnegative:
         return PropertyReport(kernel_id, "logconvexity", (), math.nan, (),
                               False, skipped_reason=(
                                   f"weight nonnegativity precondition failed: "
                                   f"min {wr.min_weight:.3e} at x={wr.argmin:g}"))
+    _logconvexity_margins(_strip_unit(kernel_id), pairs)
     h_eval = _represented_h(kernel_id, quad_tol=min(1e-10, 1e-2 * tol))
     entries = _logconvexity_margins(h_eval, pairs)
     worst = min(entries, key=lambda e: e.margin)
@@ -398,7 +416,8 @@ def _supermultiplicative_margins(h_eval, m, pairs):
 def check_supermultiplicative(kernel_id: str, m: float, pairs,
                               tol: float = 1e-9) -> PropertyReport:
     """h_m(x+y) >= h_m(x) h_m(y) with h_m(x) = h(x+m)/h(m); margins below
-    -tol fail."""
+    -tol fail. Every requested point is checked against the
+    representation's strip before any quadrature (StripViolationError)."""
     if not m > 0.0:
         raise ValueError(f"shift m must be positive so h(m) is finite, got {m}")
     wr = check_weight_nonneg(kernel_id)
@@ -407,6 +426,7 @@ def check_supermultiplicative(kernel_id: str, m: float, pairs,
                               False, skipped_reason=(
                                   f"weight nonnegativity precondition failed: "
                                   f"min {wr.min_weight:.3e} at x={wr.argmin:g}"))
+    _supermultiplicative_margins(_strip_unit(kernel_id), m, pairs)
     h_eval = _represented_h(kernel_id, quad_tol=min(1e-10, 1e-2 * tol))
     entries = _supermultiplicative_margins(h_eval, m, pairs)
     worst = min(entries, key=lambda e: e.margin)

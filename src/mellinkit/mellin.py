@@ -17,6 +17,20 @@ the alternating partial sums.
 
 Complex s is supported by evaluating x^{s-1} = exp((s-1) log x) on real
 nodes; the quadrature weights stay real.
+
+The nodes do not depend on s: every level of both pieces samples the same
+abscissae x(t) for every s, and only the factor x^{s-1} and the decision to
+skip an underflowing node change with s. A run over many s on one
+integrand (one ``harness.verify`` call, or one property check; see
+``_series_run``) therefore computes f once per node and shares the value
+across its s: ``_memoized`` maps each node x to f(x), or to the exception f
+raised there, which it raises afresh (same class, same message, a new
+object) on every later request. The memo belongs to the run that built it
+and dies with it; nothing is cached across runs or at module level, and it
+holds at most one entry per node of both pieces up to ``_MAX_LEVEL``
+(about 57k). Results are bit-identical to evaluating f anew for each s:
+f is a deterministic function of x, and each s keeps its own ``_piece_sum``
+arithmetic, underflow skips, evaluation budget and errors.
 """
 
 from __future__ import annotations
@@ -30,7 +44,7 @@ import numpy as np
 
 from . import series as series_mod
 from .errors import (AccelerationFailureError, ConvergenceError,
-                     SeamMismatchError, SingularIntegrandError)
+                     MellinkitError, SeamMismatchError, SingularIntegrandError)
 
 PI_HALF = math.pi / 2.0
 
@@ -83,6 +97,10 @@ def _is_bad(v) -> bool:
 
 
 class _EvalBudget:
+    """Evaluations one transform spent. Used as a context manager, it
+    attaches that count as ``n_evals`` to a ``MellinkitError`` leaving the
+    block, so a failed transform still reports what it cost."""
+
     __slots__ = ("used", "cap")
 
     def __init__(self, cap: int):
@@ -94,6 +112,50 @@ class _EvalBudget:
         if self.used > self.cap:
             raise ConvergenceError(
                 f"evaluation budget of {self.cap} exhausted without convergence")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, cls, exc, tb):
+        if isinstance(exc, MellinkitError):
+            exc.n_evals = self.used
+        return False
+
+
+class _Raised:
+    """An exception an integrand raised, kept as its class and arguments."""
+
+    __slots__ = ("cls", "args")
+
+    def __init__(self, exc: Exception):
+        self.cls, self.args = type(exc), exc.args
+
+
+_MISSING = object()
+
+
+def _memoized(f: Callable[[float], float]) -> Callable[[float], float]:
+    """``f`` evaluated at most once per distinct x.
+
+    Each outcome is kept for the life of the returned callable: the value,
+    or the exception ``f`` raised, which every request raises afresh (same
+    class and message, a new object each time, so no two transforms share
+    one exception)."""
+    outcomes: dict = {}
+
+    def memo(x):
+        out = outcomes.get(x, _MISSING)
+        if out is _MISSING:
+            try:
+                out = f(x)
+            except Exception as exc:  # replayed below on every request
+                out = _Raised(exc)
+            outcomes[x] = out
+        if type(out) is _Raised:
+            raise out.cls(*out.args)
+        return out
+
+    return memo
 
 
 def _lower_node(t: float):
@@ -205,9 +267,9 @@ def mellin_transform(f: Callable[[float], float], s, tol: float = 1e-10,
                      max_evals: int = MAX_EVALS) -> QuadResult:
     """Mellin transform of ``f`` at ``s`` (0 < Re(s) required for the lower
     piece to converge; the caller is responsible for strip validity)."""
-    budget = _EvalBudget(max_evals)
-    lo_val, lo_err = _piece_sum(_lower_node, f, s, budget, 0.5 * tol)
-    hi_val, hi_err = _piece_sum(_upper_node, f, s, budget, 0.5 * tol)
+    with _EvalBudget(max_evals) as budget:
+        lo_val, lo_err = _piece_sum(_lower_node, f, s, budget, 0.5 * tol)
+        hi_val, hi_err = _piece_sum(_upper_node, f, s, budget, 0.5 * tol)
     value = lo_val + hi_val
     err = lo_err + hi_err
     converged = err <= tol * max(abs(value), 1e-300)
@@ -262,8 +324,6 @@ def mellin_oscillatory(f: Callable[[float], float], s, half_period: float,
     if first_zero is None:
         first_zero = 0.5 * half_period
     budget = _EvalBudget(max_evals)
-    warm_val, warm_err = _scaled_lower_transform(f, s, first_zero, budget, 0.1 * tol)
-
     sm1 = s - 1.0
     complex_s = isinstance(s, complex)
 
@@ -280,33 +340,72 @@ def mellin_oscillatory(f: Callable[[float], float], s, half_period: float,
             acc += wi * integrand(mid + half * xi)
         return half * acc
 
-    partials = [warm_val]
-    pieces = []
-    acc = warm_val
-    prev_zero = first_zero
-    value, corr = warm_val, abs(warm_val)
-    for j in range(1, max_intervals + 1):
-        z = first_zero + j * half_period
-        piece = gl_piece(prev_zero, z)
-        pieces.append(piece)
-        acc = acc + piece
-        partials.append(acc)
-        prev_zero = z
-        if len(pieces) >= 6 and not complex_s:
-            # alternation must have set in past the warm-up
-            signs = [math.copysign(1.0, p) for p in pieces[-6:] if p != 0.0]
-            if any(signs[i] == signs[i + 1] for i in range(len(signs) - 1)):
-                raise AccelerationFailureError(
-                    "partial sums stopped alternating; the integrand does not "
-                    "match the declared oscillation structure")
-        if len(partials) >= 8:
-            window = partials[-24:] if len(partials) >= 24 else partials
-            value, corr = _aitken_last(window)
-            if corr <= tol * max(abs(value), 1e-300):
-                break
+    with budget:
+        warm_val, warm_err = _scaled_lower_transform(f, s, first_zero, budget,
+                                                     0.1 * tol)
+        partials = [warm_val]
+        pieces = []
+        acc = warm_val
+        prev_zero = first_zero
+        value, corr = warm_val, abs(warm_val)
+        for j in range(1, max_intervals + 1):
+            z = first_zero + j * half_period
+            piece = gl_piece(prev_zero, z)
+            pieces.append(piece)
+            acc = acc + piece
+            partials.append(acc)
+            prev_zero = z
+            if len(pieces) >= 6 and not complex_s:
+                # alternation must have set in past the warm-up
+                signs = [math.copysign(1.0, p) for p in pieces[-6:] if p != 0.0]
+                if any(signs[i] == signs[i + 1] for i in range(len(signs) - 1)):
+                    raise AccelerationFailureError(
+                        "partial sums stopped alternating; the integrand does "
+                        "not match the declared oscillation structure")
+            if len(partials) >= 8:
+                window = partials[-24:] if len(partials) >= 24 else partials
+                value, corr = _aitken_last(window)
+                if corr <= tol * max(abs(value), 1e-300):
+                    break
     total_err = warm_err + corr
     converged = total_err <= 10.0 * tol * max(abs(value), 1e-300)
     return QuadResult(value, total_err, budget.used, converged)
+
+
+def _seam_guard(h: "series_mod.SeriesHandle", tol: float,
+                seam_tol_factor: float = 10.0) -> Callable[[], None]:
+    """A check that the series and the closed form of ``h`` agree at the
+    switch-over point, computed on its first call and replayed on every
+    later one; a no-op unless ``h`` has both a radius and a closed form."""
+    if h.closed_form is None or h.radius_hint is None:
+        return lambda: None
+    eval_tol = min(1e-2 * tol, series_mod.DEFAULT_TOL)
+    seam = _memoized(lambda t: series_mod.seam_check(h, t))
+
+    def guard():
+        x_seam, mismatch = seam(eval_tol)
+        if mismatch > seam_tol_factor * tol:
+            raise SeamMismatchError(
+                f"series and closed form disagree by {mismatch:.3e} at the "
+                f"switch-over point x={x_seam:.6g}")
+
+    return guard
+
+
+def _series_run(h: "series_mod.SeriesHandle", tol: float,
+                max_evals: int = MAX_EVALS,
+                seam_tol_factor: float = 10.0) -> Callable[..., QuadResult]:
+    """s -> ``mellin_on_series(h, s, ...)`` for every s of one run, with
+    the seam check and each integrand value computed once per run."""
+    eval_tol = min(1e-2 * tol, series_mod.DEFAULT_TOL)
+    guard = _seam_guard(h, tol, seam_tol_factor)
+    f = _memoized(lambda x: series_mod.eval_series(h, x, tol=eval_tol))
+
+    def run(s) -> QuadResult:
+        guard()
+        return mellin_transform(f, s, tol=tol, max_evals=max_evals)
+
+    return run
 
 
 def mellin_on_series(h: "series_mod.SeriesHandle", s, tol: float = 1e-10,
@@ -316,17 +415,7 @@ def mellin_on_series(h: "series_mod.SeriesHandle", s, tol: float = 1e-10,
 
     f is evaluated through the truncated series inside the convergence
     radius and the registered closed form outside; their agreement at the
-    switch-over point is checked first.
+    switch-over point is checked first. This is the one-s case of
+    ``_series_run``.
     """
-    eval_tol = min(1e-2 * tol, series_mod.DEFAULT_TOL)
-    if h.closed_form is not None and h.radius_hint is not None:
-        x_seam, mismatch = series_mod.seam_check(h, eval_tol)
-        if mismatch > seam_tol_factor * tol:
-            raise SeamMismatchError(
-                f"series and closed form disagree by {mismatch:.3e} at the "
-                f"switch-over point x={x_seam:.6g}")
-
-    def f(x):
-        return series_mod.eval_series(h, x, tol=eval_tol)
-
-    return mellin_transform(f, s, tol=tol, max_evals=max_evals)
+    return _series_run(h, tol, max_evals, seam_tol_factor)(s)

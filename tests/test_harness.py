@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from mellinkit import harness, specfun
+from mellinkit import harness, series, specfun
 from mellinkit.errors import StripViolationError, UnknownIdError
 
 PI = math.pi
@@ -96,6 +96,64 @@ class TestExpectedFailures:
         want = -PI * math.sqrt(PI)
         assert smp.lhs.real == pytest.approx(want, rel=1e-9)
         assert smp.rhs.real == pytest.approx(want, rel=1e-12)
+
+
+def _fingerprint(samples):
+    return [(r.s, r.lhs.real.hex(), r.lhs.imag.hex(), r.rhs, r.err_abs,
+             r.n_evals, r.converged, r.error) for r in samples]
+
+
+def _three_points(case):
+    grid = list(case.grid_override or harness.default_grid(case.strip))
+    return [grid[1], grid[5], grid[-1]]
+
+
+def _count_series_evals(monkeypatch):
+    xs = []
+    eval_series = series.eval_series
+
+    def counted(h, x, *args, **kwargs):
+        xs.append(x)
+        return eval_series(h, x, *args, **kwargs)
+
+    monkeypatch.setattr(series, "eval_series", counted)
+    return xs
+
+
+class TestSharedIntegrand:
+    @pytest.mark.parametrize("cid", [cid for cid, *_ in harness.list_identities()
+                                     if cid != "digamma_corollary"])
+    def test_grid_equals_separate_single_s_runs(self, cid):
+        # a one-point verify is mellin_on_series (or the case's own
+        # single-s transform) on a fresh integrand
+        case = harness.get_case(cid)
+        grid = _three_points(case)
+        rep = harness.verify(cid, s_grid=grid)
+        alone = [r for s in grid for r in harness.verify(cid, s_grid=[s]).samples]
+        alone.sort(key=lambda r: (r.s.real, r.s.imag))
+        assert _fingerprint(rep.samples) == _fingerprint(alone)
+
+    def test_each_node_is_evaluated_once_per_verify(self, monkeypatch):
+        xs = _count_series_evals(monkeypatch)
+        rep = harness.verify("gamma_squared_rep")
+        assert len(xs) == len(set(xs))
+        # the samples requested f at each node once per s
+        assert sum(r.n_evals for r in rep.samples) >= 5 * len(xs)
+
+    def test_second_verify_evaluates_again(self, monkeypatch):
+        xs = _count_series_evals(monkeypatch)
+        first = harness.verify("gamma_deriv_rep:1")
+        n_first = len(xs)
+        second = harness.verify("gamma_deriv_rep:1")
+        assert n_first > 0 and len(xs) == 2 * n_first
+        assert xs[n_first:] == xs[:n_first]
+        assert _fingerprint(first.samples) == _fingerprint(second.samples)
+
+    def test_failed_sample_reports_its_evaluations(self):
+        rep = harness.verify("digamma_corollary", s_grid=[0.5])
+        (smp,) = rep.samples
+        assert smp.error.startswith("ConvergenceError")
+        assert smp.n_evals > 0
 
 
 class TestConjecture:

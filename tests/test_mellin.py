@@ -6,9 +6,11 @@ import pytest
 
 from mellinkit import catalog, series, specfun
 from mellinkit.errors import (AccelerationFailureError, ConvergenceError,
-                              SeamMismatchError, SingularIntegrandError)
-from mellinkit.mellin import (QuadResult, Strip, mellin_on_series,
-                              mellin_oscillatory, mellin_transform)
+                              RadiusExceededError, SeamMismatchError,
+                              SingularIntegrandError)
+from mellinkit.mellin import (QuadResult, Strip, _memoized, _series_run,
+                              mellin_on_series, mellin_oscillatory,
+                              mellin_transform)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -164,3 +166,80 @@ class TestMellinOnSeries:
                           catalog.coefficient("const_one"))
         with pytest.raises(Exception):
             mellin_on_series(h, 0.5, tol=1e-10)
+
+
+class TestSharedIntegrand:
+    GRID = (0.15, 0.4, 0.65, 0.9, 0.5 + 0.2j, 0.3 - 0.1j)
+
+    @pytest.mark.parametrize("kid,mode,closed", [
+        ("gamma", "simple", lambda x: math.exp(-x)),
+        ("gamma_squared", "general",
+         lambda x: 2.0 * specfun.bessel_k0(2.0 * math.sqrt(x))),
+        ("pi_csc", "simple", lambda x: 1.0 / (1.0 + x)),
+    ])
+    def test_run_matches_unshared_transforms_bit_for_bit(self, kid, mode, closed):
+        # reference: a fresh, unmemoized integrand for every s
+        h = series.handle(catalog.kernel(kid), catalog.coefficient("const_one"),
+                          mode=mode, closed_form=closed)
+        run = _series_run(h, 1e-10)
+        for s in self.GRID:
+            want = mellin_transform(
+                lambda x: series.eval_series(h, x, tol=1e-12), s, tol=1e-10)
+            assert run(s) == want, s
+            assert mellin_on_series(h, s, tol=1e-10) == want, s
+
+    def test_memo_evaluates_once_and_replays_fresh_exceptions(self):
+        calls = []
+        h = series.handle(catalog.kernel("pi_csc"),
+                          catalog.coefficient("const_one"), radius_hint=1.0)
+
+        def f(x):
+            calls.append(x)
+            return series.eval_series(h, x)
+
+        memo = _memoized(f)
+        assert memo(0.5) == memo(0.5) == series.eval_series(h, 0.5)
+        raised = []
+        for _ in range(2):
+            with pytest.raises(RadiusExceededError) as info:
+                memo(2.0)
+            raised.append(info.value)
+        assert calls == [0.5, 2.0]
+        assert raised[0] is not raised[1]
+        assert str(raised[0]) == str(raised[1])
+
+    def test_raising_integrand_gives_every_s_its_own_equal_error(self):
+        # radius 1 and no closed form: the series cannot converge at the
+        # first node near x = 1
+        h = series.handle(catalog.kernel("pi_csc"),
+                          catalog.coefficient("const_one"), radius_hint=1.0)
+        run = _series_run(h, 1e-10)
+        errors = []
+        for s in self.GRID:
+            with pytest.raises(ConvergenceError) as info:
+                run(s)
+            with pytest.raises(ConvergenceError) as alone:
+                mellin_on_series(h, s, tol=1e-10)
+            errors.append(info.value)
+            assert type(info.value) is type(alone.value)
+            assert str(info.value) == str(alone.value)
+            assert info.value.n_evals == alone.value.n_evals > 0
+        assert len({id(e) for e in errors}) == len(errors)
+        assert len({(type(e), str(e)) for e in errors}) == 1
+
+    def test_seam_check_runs_once_per_run(self, monkeypatch):
+        h = series.handle(catalog.kernel("gamma"),
+                          catalog.coefficient("const_one"),
+                          closed_form=lambda x: math.exp(-x) * (1.0 + 1e-5))
+        calls = []
+        seam_check = series.seam_check
+        monkeypatch.setattr(series, "seam_check",
+                            lambda *a: calls.append(a) or seam_check(*a))
+        run = _series_run(h, 1e-10)
+        raised = []
+        for s in (0.3, 0.6):
+            with pytest.raises(SeamMismatchError) as info:
+                run(s)
+            raised.append(info.value)
+        assert len(calls) == 1
+        assert raised[0] is not raised[1] and str(raised[0]) == str(raised[1])
