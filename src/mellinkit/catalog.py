@@ -47,7 +47,6 @@ class KernelFunction:
     phi_eval: Callable
     deriv_order: int = 0
     simple_poles: bool = True
-    phi_closed_form: bool = True
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,7 @@ def phi_richardson_limit(kernel_eval: Callable, k: int, h0: float = 0.05) -> com
     extrapolation along the real axis.
 
     Fallback for kernels without a closed-form phi; the registered kernels
-    all carry closed forms, so results that relied on this path are flagged.
+    all carry closed forms.
     """
     def f(eps):
         z = k + eps

@@ -266,8 +266,10 @@ def _cmd_verify_all(args) -> int:
     return EXIT_PASS if harness.aggregate_pass(reports) else EXIT_FAIL
 
 
-def _mellin_runner(args, tol):
-    """(label, s -> QuadResult) for the three addressing modes."""
+def _mellin_runner(args, tol, grid):
+    """(label, s -> QuadResult) for the three addressing modes. With
+    --kernel alone, every s of ``grid`` is checked against the strip of
+    the kernel's representation first."""
     budget = args.max_evals
     kwargs = {"tol": tol}
     if budget is not None:
@@ -283,6 +285,8 @@ def _mellin_runner(args, tol):
         return (f"mellin:{args.kernel}:{args.coeff}",
                 lambda s: mellin_on_series(h, s, **kwargs))
     h, oscillatory, half_period = harness.representation_handle(args.kernel)
+    for s in grid:
+        harness.check_representable(args.kernel, s)
     if oscillatory:
         return (f"mellin:{args.kernel}",
                 lambda s: mellin_oscillatory(h.closed_form, s, half_period, **kwargs))
@@ -292,7 +296,7 @@ def _mellin_runner(args, tol):
 def _cmd_mellin(args) -> int:
     tol = _check_tol(args.tol) if args.tol is not None else 1e-10
     grid = _collect_grid(args) or [0.5]
-    label, run = _mellin_runner(args, tol)
+    label, run = _mellin_runner(args, tol, grid)
     samples = []
     any_failed = False
     for s in grid:

@@ -464,6 +464,33 @@ def _representation_run(kernel_id: str, tol: float):
     return _series_run(h, tol)
 
 
+#: Re(s) range on which each kernel's g = 1 representation converges, by
+#: kernel name. psi has none: its g = 1 integrand -1/(1 - x) is not
+#: integrable, and its transforms end in a quadrature diagnostic.
+_REPRESENTABLE = {
+    "gamma": (0.0, math.inf),
+    "gamma_deriv": (0.0, math.inf),
+    "gamma_squared": (0.0, math.inf),
+    "gamma_cos_half": (0.0, 1.0),
+    "pi_csc": (0.0, 1.0),
+    "pi_csc_deriv": (0.0, 1.0),
+    "pi_csc_pow": (0.0, 1.0),
+}
+
+
+def check_representable(kernel_id: str, s) -> None:
+    """Raise StripViolationError when Re(s) lies outside the strip where
+    the kernel's g = 1 representation converges."""
+    strip = _REPRESENTABLE.get(kernel_id.split(":", 1)[0])
+    if strip is None:
+        return
+    lo, hi = strip
+    if not lo < (s.real if isinstance(s, complex) else s) < hi:
+        raise StripViolationError(
+            f"{kernel_id} representation converges on ({lo}, {hi}); "
+            f"requested h({s})")
+
+
 def representation_handle(kernel_id: str):
     """The g = 1 series handle for a kernel plus its quadrature routing.
 

@@ -32,8 +32,8 @@ import numpy as np
 from . import catalog, harness, series, specfun
 from .errors import (KernelZeroError, StripViolationError,
                      TailCertificationError, UnknownIdError)
-from .mellin import (MAX_EVALS, QuadResult, _EvalBudget, _lower_node,
-                     _piece_sum, _scaled_lower_transform, mellin_transform)
+from .mellin import (MAX_EVALS, QuadResult, _EvalBudget,
+                     _scaled_lower_transform, mellin_transform)
 
 NORMALIZATIONS = ("raw", "factorial")
 
@@ -265,14 +265,6 @@ def interpolate_extended(seq: SequenceData, kernel_id: str, extension: int, s,
 # ---------------------------------------------------------------------------
 # inequality properties of the represented h
 
-#: Re(s) range over which each kernel's g = 1 representation converges
-_REPRESENTABLE = {
-    "gamma": (0.0, math.inf),
-    "gamma_squared": (0.0, math.inf),
-    "pi_csc": (0.0, 1.0),
-}
-
-
 @dataclass(frozen=True)
 class PropertyEntry:
     point: tuple
@@ -321,13 +313,8 @@ def _strip_unit(kernel_id: str):
     raises StripViolationError for a point outside it. A margins pass with
     it checks every point a check will request, in the order it requests
     them, before any quadrature."""
-    lo, hi = _REPRESENTABLE.get(kernel_id, (0.0, 1.0))
-
     def unit(t: float) -> float:
-        if not lo < t < hi:
-            raise StripViolationError(
-                f"{kernel_id} representation converges on ({lo}, {hi}); "
-                f"requested h({t})")
+        harness.check_representable(kernel_id, t)
         return 1.0
 
     return unit

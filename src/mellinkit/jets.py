@@ -11,6 +11,12 @@ The central objects:
   operator (the cosecant-power summands).
 * ``residue_from_principal_part`` -- the residue of h(z) g(-z) x^{-z} at
   z = -k assembled from the principal part of h and a jet of g.
+
+Each operator is a polynomial in log x once the jet is fixed. ``shift_row``,
+``pm_row`` and ``residue_row`` return its coefficients, in ascending powers
+of log x, and ``eval_row`` evaluates such a row; the ``*_apply`` functions
+and ``residue_from_principal_part`` are a row evaluated at one x, and the
+series engine keeps the rows of a handle to evaluate them at many.
 """
 
 from __future__ import annotations
@@ -102,20 +108,37 @@ class PrincipalPart:
         return self.coeffs[0] if self.order > 0 else 0.0
 
 
-def shift_operator_apply(jet: Jet, log_x: float, m: int):
-    """[(d/dz + log x)^m g](k) = sum_i C(m, i) g^(i)(k) (log x)^{m-i}."""
+def shift_row(jet: Jet, m: int) -> tuple:
+    """[(d/dz + log x)^m g](k) as a row in powers of log x: entry p is
+    C(m, p) g^(m-p)(k)."""
     if m < 0:
         raise JetOrderError(f"operator power must be >= 0, got {m}")
     if jet.order < m:
         raise JetOrderError(
             f"operator power {m} needs a jet of order >= {m}, got {jet.order}")
+    return tuple(binomial(m, p) * jet.derivs[m - p] for p in range(m + 1))
+
+
+def _combine(weighted_rows, length: int) -> tuple:
+    """sum of c * row over (c, row) pairs, as one row of ``length``."""
+    acc = [0.0] * length
+    for c, row in weighted_rows:
+        for p, a in enumerate(row):
+            acc[p] += c * a
+    return tuple(acc)
+
+
+def eval_row(row, log_x: float):
+    """sum_p row[p] (log x)^p, by Horner's rule (0 for an empty row)."""
     acc = 0.0
-    lp = 1.0  # (log x)^(m-i), built from the top power down
-    # iterate i = m, m-1, ..., 0 so log-powers grow by one multiply each step
-    for i in range(m, -1, -1):
-        acc += binomial(m, i) * jet.derivs[i] * lp
-        lp *= log_x
+    for a in reversed(row):
+        acc = acc * log_x + a
     return acc
+
+
+def shift_operator_apply(jet: Jet, log_x: float, m: int):
+    """[(d/dz + log x)^m g](k) = sum_i C(m, i) g^(i)(k) (log x)^{m-i}."""
+    return eval_row(shift_row(jet, m), log_x)
 
 
 @dataclass(frozen=True)
@@ -150,31 +173,32 @@ def pm_polynomial(m: int) -> PmPolynomial:
     return PmPolynomial(m, tuple(out))
 
 
-def pm_operator_apply(jet: Jet, log_x: float, m: int):
-    """[P_m(d/dz + log x) g](k)."""
+def pm_row(jet: Jet, m: int) -> tuple:
+    """[P_m(d/dz + log x) g](k) as a row in powers of log x."""
     poly = pm_polynomial(m)
     if jet.order < poly.degree():
         raise JetOrderError(
             f"P_{m} needs a jet of order >= {poly.degree()}, got {jet.order}")
-    acc = 0.0
-    for d, a in enumerate(poly.coeffs):
-        if a != 0.0:
-            acc += a * shift_operator_apply(jet, log_x, d)
-    return acc
+    return _combine(((a, shift_row(jet, d)) for d, a in enumerate(poly.coeffs)
+                     if a != 0.0), m)
 
 
-def residue_from_principal_part(pp: PrincipalPart, jet: Jet, x: float):
-    """Residue of h(z) g(-z) x^{-z} at z = -k:
+def pm_operator_apply(jet: Jet, log_x: float, m: int):
+    """[P_m(d/dz + log x) g](k)."""
+    return eval_row(pm_row(jet, m), log_x)
 
-        x^k sum_{j=1..N} c_{-j} (-1)^{j-1} / (j-1)! [(d/dz + log x)^{j-1} g](k)
+
+def residue_row(pp: PrincipalPart, jet: Jet) -> tuple:
+    """The residue of h(z) g(-z) x^{-z} at z = -k, divided by x^k, as a
+    row in powers of log x:
+
+        sum_{j=1..N} c_{-j} (-1)^{j-1} / (j-1)! [(d/dz + log x)^{j-1} g](k)
 
     where N is the pole order and c_{-j} the principal coefficients of h.
-    Returns 0 when the principal part has order 0 (pole gap).
+    Empty when the principal part has order 0 (pole gap).
     """
-    if x <= 0.0:
-        raise ValueError(f"series variable must be positive, got x={x}")
     if pp.order == 0:
-        return 0.0
+        return ()
     if jet.base != pp.k:
         raise JetBaseMismatchError(
             f"jet based at {jet.base} cannot feed the pole at -{pp.k}")
@@ -182,17 +206,28 @@ def residue_from_principal_part(pp: PrincipalPart, jet: Jet, x: float):
         raise JetOrderError(
             f"pole of order {pp.order} needs a jet of order >= {pp.order - 1}, "
             f"got {jet.order}")
-    log_x = math.log(x)
-    acc = 0.0
+    weighted = []
     sign = 1.0
     fact = 1.0  # (j-1)!
     for j in range(1, pp.order + 1):
         c = pp.coeffs[j - 1]
         if c != 0:
-            acc += c * (sign / fact) * shift_operator_apply(jet, log_x, j - 1)
+            weighted.append((c * (sign / fact), shift_row(jet, j - 1)))
         sign = -sign
         fact *= j
-    return acc * x ** pp.k
+    return _combine(weighted, pp.order)
+
+
+def residue_from_principal_part(pp: PrincipalPart, jet: Jet, x: float):
+    """Residue of h(z) g(-z) x^{-z} at z = -k: x^k times ``residue_row``
+    evaluated at log x. Returns 0 when the principal part has order 0
+    (pole gap)."""
+    if x <= 0.0:
+        raise ValueError(f"series variable must be positive, got x={x}")
+    row = residue_row(pp, jet)
+    if not row:
+        return 0.0
+    return eval_row(row, math.log(x)) * x ** pp.k
 
 
 # ---------------------------------------------------------------------------

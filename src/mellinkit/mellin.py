@@ -18,25 +18,58 @@ the alternating partial sums.
 Complex s is supported by evaluating x^{s-1} = exp((s-1) log x) on real
 nodes; the quadrature weights stay real.
 
-The nodes do not depend on s: every level of both pieces samples the same
-abscissae x(t) for every s, and only the factor x^{s-1} and the decision to
-skip an underflowing node change with s. A run over many s on one
-integrand (one ``harness.verify`` call, or one property check; see
-``_series_run``) therefore computes f once per node and shares the value
-across its s: ``_memoized`` maps each node x to f(x), or to the exception f
-raised there, which it raises afresh (same class, same message, a new
-object) on every later request. The memo belongs to the run that built it
-and dies with it; nothing is cached across runs or at module level, and it
-holds at most one entry per node of both pieces up to ``_MAX_LEVEL``
-(about 57k). Results are bit-identical to evaluating f anew for each s:
-f is a deterministic function of x, and each s keeps its own ``_piece_sum``
-arithmetic, underflow skips, evaluation budget and errors.
+Node tables. The nodes do not depend on s or on f: level 0 of a piece
+samples t = 0, +-1, ..., +-6 (h = 1), and level k >= 1 adds the odd
+multiples of h = 2^-k up to |t| <= 6.9. ``_node_table`` tabulates, per
+piece and level, (x, log x, w, log w) of the nodes that level adds, from
+the scalar maps ``_lower_node``/``_upper_node`` (so bit for bit the same
+abscissae), less the nodes past overflow (u > 700), of zero weight or at
+x <= 0. A table is built on first use and kept for the process.
+
+Level sums. For one s and one level, Re((s-1) log x) + log w is one array
+operation over the table. Nodes where it is below -800 are skipped without
+calling f; f is requested once per remaining node, in table order, and the
+evaluation budget is spent once per level. A non-finite value of f, or a
+ValueError/OverflowError/ZeroDivisionError from f, is dropped where the
+weight is below ``_SKIP_FLOOR`` and raises SingularIntegrandError above
+it. The terms w exp((s-1) log x) f(x) are formed as arrays; where
+|Re((s-1) log x)| >= 700 or the product is not finite, the term is formed
+in log space instead (a contribution that overflows raises
+ConvergenceError: the transform diverges at this s). The terms at t and
+-t are added first and the pair sums then one after another, the order of
+a scalar trapezoid loop.
+
+Stopping rule. A piece accepts level k only when h <= 1/4 and DE
+convergence is confirmed: the level-to-level difference d_k is at most
+tol * |value| and d_{k-1} at most sqrt(tol) * |value|, so that the
+difference has been shrinking doubly exponentially rather than being small
+once by chance. Each piece first converges to 0.5 tol relative to itself;
+when the two pieces cancel, so that their errors exceed tol relative to
+their total, the piece with the larger error and then the other are refined
+to 0.5 tol relative to the total (see ``mellin_transform``).
+
+Error estimate. A piece reports err_abs = max(d_k, 16 eps h sum |terms|):
+the last difference, floored by the rounding error of the trapezoid sum,
+which the difference alone underestimates once the doubly exponential
+convergence has set in.
+
+Shared integrand. A run over many s on one integrand (one
+``harness.verify`` call, or one property check; see ``_series_run``)
+computes f once per node and shares the value across its s: ``_memoized``
+maps each node x to f(x), or to the exception f raised there, which it
+raises afresh (same class, same message, a new object) on every later
+request. The memo belongs to the run that built it and dies with it, and
+it holds at most one entry per node of both pieces up to ``_MAX_LEVEL``
+(about 57k). A value for one s does not depend on which other s share its
+run: f is a deterministic function of x, and each s keeps its own level
+sums, underflow skips, evaluation budget and errors.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -54,6 +87,9 @@ MAX_EVALS = 2_000_000
 _T_MAX = 6.9          # |u| ~ 780 at the edge; node maps underflow beyond
 _MAX_LEVEL = 11
 _SKIP_FLOOR = 1e-12   # weight floor under which failing nodes are dropped
+_LOG_SKIP_FLOOR = math.log(_SKIP_FLOOR)
+_EPS = sys.float_info.epsilon
+_ROUNDING_C = 16.0    # rounding floor of err_abs, in eps * h * sum |terms|
 
 
 @dataclass(frozen=True)
@@ -88,12 +124,6 @@ class Strip:
     def contains(self, s, margin: float = 0.0) -> bool:
         re = s.real if isinstance(s, complex) else s
         return self.lo + margin <= re <= self.hi - margin
-
-
-def _is_bad(v) -> bool:
-    if isinstance(v, complex):
-        return not (math.isfinite(v.real) and math.isfinite(v.imag))
-    return not math.isfinite(v)
 
 
 class _EvalBudget:
@@ -131,9 +161,6 @@ class _Raised:
         self.cls, self.args = type(exc), exc.args
 
 
-_MISSING = object()
-
-
 def _memoized(f: Callable[[float], float]) -> Callable[[float], float]:
     """``f`` evaluated at most once per distinct x.
 
@@ -141,19 +168,22 @@ def _memoized(f: Callable[[float], float]) -> Callable[[float], float]:
     or the exception ``f`` raised, which every request raises afresh (same
     class and message, a new object each time, so no two transforms share
     one exception)."""
-    outcomes: dict = {}
+    values: dict = {}
+    raised: dict = {}
 
     def memo(x):
-        out = outcomes.get(x, _MISSING)
-        if out is _MISSING:
+        try:
+            return values[x]
+        except KeyError:
+            pass
+        out = raised.get(x)
+        if out is None:
             try:
-                out = f(x)
+                values[x] = value = f(x)
+                return value
             except Exception as exc:  # replayed below on every request
-                out = _Raised(exc)
-            outcomes[x] = out
-        if type(out) is _Raised:
-            raise out.cls(*out.args)
-        return out
+                out = raised[x] = _Raised(exc)
+        raise out.cls(*out.args)
 
     return memo
 
@@ -183,95 +213,241 @@ def _upper_node(t: float):
     return 1.0 + e, math.log1p(e), PI_HALF * math.cosh(t) * e
 
 
-def _piece_sum(node_fn, f, s, budget: _EvalBudget, tol: float):
-    """Trapezoid sums over one DE piece with level halving.
+class _NodeLevel:
+    """The nodes one DE level adds to one piece: abscissae x (as an array
+    and as Python floats, the form the integrand takes), log x, the
+    weights dx/dt and their logarithms, and the pair each node belongs to
+    (t and -t form one pair; t = 0 is a pair of its own)."""
 
-    Returns (value, err_estimate). Raises on budget exhaustion or on
-    integrand failure at nodes with non-negligible weight.
-    """
-    sm1 = s - 1.0
-    complex_s = isinstance(s, complex)
+    __slots__ = ("xs", "x", "lnx", "w", "lw", "pair", "n_pairs")
 
-    def sample(t: float):
-        node = node_fn(t)
-        if node is None:
-            return 0.0
-        x, lnx, w = node
-        if w == 0.0 or x <= 0.0:
-            return 0.0
-        arg = sm1 * lnx
-        re_arg = arg.real if complex_s else arg
-        lw = math.log(w)
-        log_pref = re_arg + lw
-        if log_pref < -800.0:
-            # prefactor underflows past any log-bounded integrand growth
-            return 0.0
-        budget.spend()
-        try:
-            fv = f(x)
-        except (ValueError, OverflowError, ZeroDivisionError):
-            fv = None
-        if fv is None or _is_bad(fv):
-            if log_pref <= math.log(_SKIP_FLOOR):
-                return 0.0  # underflow corner; weight cannot matter
-            raise SingularIntegrandError(
-                f"integrand failed at x={x!r} where the quadrature weight "
-                f"exp({log_pref:.2f}) is not negligible")
-        if fv == 0:
-            return 0.0
-        if -700.0 < re_arg < 700.0:
-            pref = w * (cmath.exp(arg) if complex_s else math.exp(arg))
-            term = pref * fv
-            if not _is_bad(term):
-                return term
-        # extreme exponents (extended strips): combine in log space
-        if complex_s or isinstance(fv, complex):
-            return cmath.exp(complex(arg) + lw + cmath.log(complex(fv)))
-        total = arg + lw + math.log(abs(fv))
-        if total < -745.0:
-            return 0.0
-        if total > 709.0:
-            raise ConvergenceError(
-                f"integrand contribution overflows at x={x!r}; the transform "
-                f"diverges at this s")
-        return math.copysign(math.exp(total), fv)
+    def __init__(self, nodes: list, n_pairs: int):
+        columns = [np.array(c, dtype=float) for c in zip(*nodes)] if nodes \
+            else [np.empty(0)] * 5
+        self.x, self.lnx, self.w, self.lw = columns[:4]
+        self.pair = columns[4].astype(np.intp)
+        self.n_pairs = n_pairs
+        self.xs = self.x.tolist()
 
-    h = 1.0
-    total = sample(0.0)
-    k = 1
-    while k * h <= _T_MAX:
-        total += sample(k * h) + sample(-k * h)
-        k += 1
-    prev = total * h
-    err = abs(prev)
-    val = prev
-    for _ in range(1, _MAX_LEVEL + 1):
-        h *= 0.5
-        add = 0.0
-        t = h
-        while t <= _T_MAX:
-            add += sample(t) + sample(-t)
-            t += 2.0 * h
-        val = prev * 0.5 + add * h
-        err = abs(val - prev)
-        scale = max(abs(val), 1e-300)
-        if err <= tol * scale and h <= 0.25:
-            return val, err
-        prev = val
-    raise ConvergenceError(
-        "quadrature did not stabilize within the refinement budget "
-        f"(last interval-halving difference {err:.3e})")
+
+#: node tables, built on first use and kept for the process
+_TABLES: dict = {}
+
+
+def _level_abscissae(level: int) -> list:
+    """t of the nodes level ``level`` adds, in the order they are summed:
+    t = 0, +-1, ..., +-6 at level 0 (h = 1); the odd multiples of
+    h = 2^-level, each followed by its negative, after it."""
+    if level == 0:
+        ts = [0.0]
+        k = 1
+        while k <= _T_MAX:
+            ts += [float(k), -float(k)]
+            k += 1
+        return ts
+    h = 0.5 ** level
+    ts = []
+    t = h
+    while t <= _T_MAX:
+        ts += [t, -t]
+        t += 2.0 * h
+    return ts
+
+
+def _node_table(node_fn, level: int) -> _NodeLevel:
+    """The nodes ``node_fn`` gives at ``level``, less those past overflow
+    (u > 700), of zero weight or at x <= 0, which cannot contribute."""
+    table = _TABLES.get((node_fn, level))
+    if table is None:
+        ts = _level_abscissae(level)
+        first = 1 if level == 0 else 0  # t = 0 pairs with no other node
+        nodes = []
+        for i, t in enumerate(ts):
+            node = node_fn(t)
+            if node is None:
+                continue
+            x, lnx, w = node
+            if w == 0.0 or x <= 0.0:
+                continue
+            nodes.append((x, lnx, w, math.log(w), (i + first) // 2))
+        table = _TABLES[(node_fn, level)] = _NodeLevel(nodes, (len(ts) + first) // 2)
+    return table
+
+
+def _log_space_term(arg, lw: float, fv, x: float):
+    # extreme exponents (extended strips): combine in log space
+    if isinstance(arg, complex) or isinstance(fv, complex):
+        return cmath.exp(complex(arg) + lw + cmath.log(complex(fv)))
+    total = arg + lw + math.log(abs(fv))
+    if total < -745.0:
+        return 0.0
+    if total > 709.0:
+        raise ConvergenceError(
+            f"integrand contribution overflows at x={x!r}; the transform "
+            f"diverges at this s")
+    return math.copysign(math.exp(total), fv)
+
+
+def _pairwise_total(terms: np.ndarray, pair: np.ndarray, n_pairs: int):
+    """The sum of a level's terms, in node order: each pair t, -t summed
+    first, then the pair sums one after another."""
+    if terms.dtype.kind == "c":
+        sums = np.empty(n_pairs, dtype=complex)
+        sums.real = np.bincount(pair, terms.real, n_pairs)
+        sums.imag = np.bincount(pair, terms.imag, n_pairs)
+    else:
+        sums = np.bincount(pair, terms, n_pairs)
+    return np.add.accumulate(sums)[-1].item()
+
+
+def _screen(xs: list, fv: np.ndarray, log_pref: np.ndarray) -> np.ndarray:
+    """``fv`` with its non-finite values dropped, or SingularIntegrandError
+    at the first one whose weight is not negligible."""
+    bad = ~np.isfinite(fv)
+    if bad.any():
+        for i in np.flatnonzero(bad).tolist():
+            if log_pref[i] > _LOG_SKIP_FLOOR:
+                raise SingularIntegrandError(
+                    f"integrand failed at x={xs[i]!r} where the quadrature "
+                    f"weight exp({log_pref[i]:.2f}) is not negligible")
+        fv[bad] = 0.0  # underflow corner; weight cannot matter
+    return fv
+
+
+class _Piece:
+    """Trapezoid sums of one DE piece for one s, refined level by level.
+
+    ``val`` is the sum at the last level, ``diffs`` the level-to-level
+    differences (``diffs[0]`` is |val| at level 0) and ``abs_sum`` the sum
+    of |term| over every node so far."""
+
+    __slots__ = ("node_fn", "f", "sm1", "complex_s", "budget", "level", "h",
+                 "val", "diffs", "abs_sum")
+
+    def __init__(self, node_fn, f, s, budget: _EvalBudget):
+        self.node_fn, self.f, self.budget = node_fn, f, budget
+        self.sm1 = s - 1.0
+        self.complex_s = isinstance(s, complex)
+        self.level, self.h = -1, 2.0
+        self.val, self.diffs, self.abs_sum = 0.0, [], 0.0
+
+    def refine(self):
+        """Add the next level's nodes."""
+        self.level += 1
+        self.h *= 0.5
+        add, abs_add = self._level_sum(_node_table(self.node_fn, self.level))
+        val = self.val * 0.5 + add * self.h
+        self.diffs.append(abs(val - self.val) if self.level else abs(val))
+        self.val = val
+        self.abs_sum += abs_add
+
+    def _level_sum(self, lv: _NodeLevel):
+        """(sum of the level's terms, sum of their magnitudes)."""
+        arg = self.sm1 * lv.lnx
+        re_arg = arg.real if self.complex_s else arg
+        log_pref = re_arg + lv.lw
+        # a prefactor below e^-800 underflows past any log-bounded growth
+        keep = log_pref >= -800.0
+        xs, w, lw, pair = lv.xs, lv.w, lv.lw, lv.pair
+        if not keep.all():
+            xs = lv.x[keep].tolist()
+            arg, re_arg, log_pref = arg[keep], re_arg[keep], log_pref[keep]
+            w, lw, pair = w[keep], lw[keep], pair[keep]
+        if not xs:
+            return 0.0, 0.0
+        self.budget.spend(len(xs))
+        fv = self._values(xs, log_pref)
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = w * np.exp(arg) * fv
+            good = (np.abs(re_arg) < 700.0) & np.isfinite(terms)
+        if not good.all():
+            zero = fv == 0
+            terms[zero] = 0.0
+            for i in np.flatnonzero(~(good | zero)).tolist():
+                terms[i] = _log_space_term(arg[i].item(), lw[i].item(),
+                                           fv[i].item(), xs[i])
+        return _pairwise_total(terms, pair, lv.n_pairs), np.abs(terms).sum().item()
+
+    def _values(self, xs: list, log_pref: np.ndarray) -> np.ndarray:
+        """f at every node, in node order. A ValueError, OverflowError or
+        ZeroDivisionError from f counts as a non-finite value; a non-finite
+        value is dropped (0) where the weight is below ``_SKIP_FLOOR`` and
+        raises SingularIntegrandError above it. Any other exception from f
+        propagates, unless an earlier node has already raised."""
+        f = self.f
+        vals = []
+        append = vals.append
+        while True:
+            try:
+                for x in xs[len(vals):]:
+                    append(f(x))
+                break
+            except (ValueError, OverflowError, ZeroDivisionError):
+                append(math.nan)
+            except Exception:
+                _screen(xs, np.array(vals), log_pref)
+                raise
+        return _screen(xs, np.array(vals), log_pref)
+
+    def rounding(self) -> float:
+        """The rounding error of the sum: a few eps * h * sum |terms|."""
+        return _ROUNDING_C * _EPS * self.h * self.abs_sum
+
+    def err(self) -> float:
+        """The last level-to-level difference, floored by the rounding
+        error of the sum."""
+        return max(self.diffs[-1], self.rounding())
+
+    def accepts(self, tol: float, scale: float) -> bool:
+        """DE convergence confirmed: h <= 1/4, the last difference below
+        tol * scale and the one before it below sqrt(tol) * scale."""
+        return (self.h <= 0.25 and self.diffs[-1] <= tol * scale
+                and self.diffs[-2] <= math.sqrt(tol) * scale)
+
+    def converge(self, tol: float) -> "_Piece":
+        """Refine until convergence relative to the piece's own value."""
+        while True:
+            if self.level == _MAX_LEVEL:
+                raise ConvergenceError(
+                    "quadrature did not stabilize within the refinement budget "
+                    f"(last interval-halving difference {self.diffs[-1]:.3e})")
+            self.refine()
+            if self.accepts(tol, max(abs(self.val), 1e-300)):
+                return self
+
+    def tighten(self, tol: float, scale) -> None:
+        """Refine until convergence relative to ``scale()``, until the
+        differences reach the rounding floor, or up to ``_MAX_LEVEL``."""
+        while not (self.accepts(tol, scale())
+                   or self.diffs[-1] <= self.rounding()
+                   or self.level == _MAX_LEVEL):
+            self.refine()
 
 
 def mellin_transform(f: Callable[[float], float], s, tol: float = 1e-10,
                      max_evals: int = MAX_EVALS) -> QuadResult:
     """Mellin transform of ``f`` at ``s`` (0 < Re(s) required for the lower
-    piece to converge; the caller is responsible for strip validity)."""
+    piece to converge; the caller is responsible for strip validity).
+
+    Each piece first converges to 0.5 tol relative to itself. When the
+    pieces cancel, so that their errors exceed tol relative to the total,
+    the piece with the larger error and then, if needed, the other one are
+    refined to 0.5 tol relative to the total. A total of exactly 0 is not
+    refined further and reports ``converged=False``."""
     with _EvalBudget(max_evals) as budget:
-        lo_val, lo_err = _piece_sum(_lower_node, f, s, budget, 0.5 * tol)
-        hi_val, hi_err = _piece_sum(_upper_node, f, s, budget, 0.5 * tol)
-    value = lo_val + hi_val
-    err = lo_err + hi_err
+        lo = _Piece(_lower_node, f, s, budget).converge(0.5 * tol)
+        hi = _Piece(_upper_node, f, s, budget).converge(0.5 * tol)
+
+        def total_scale():
+            return abs(lo.val + hi.val)
+
+        for piece in sorted((lo, hi), key=_Piece.err, reverse=True):
+            total = total_scale()
+            if total == 0.0 or lo.err() + hi.err() <= tol * total:
+                break
+            piece.tighten(0.5 * tol, total_scale)
+    value = lo.val + hi.val
+    err = lo.err() + hi.err()
     converged = err <= tol * max(abs(value), 1e-300)
     return QuadResult(value, err, budget.used, converged)
 
@@ -281,10 +457,10 @@ def _scaled_lower_transform(f, s, x_cut: float, budget: _EvalBudget, tol: float)
     def g(y):
         return f(x_cut * y)
 
-    val, err = _piece_sum(_lower_node, g, s, budget, tol)
+    piece = _Piece(_lower_node, g, s, budget).converge(tol)
     scale = cmath.exp(s * math.log(x_cut)) if isinstance(s, complex) \
         else math.exp(s * math.log(x_cut))
-    return scale * val, abs(scale) * err
+    return scale * piece.val, abs(scale) * piece.err()
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)

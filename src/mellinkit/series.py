@@ -13,17 +13,25 @@ Modes:
                      realized by transforming the principal part and feeding
                      the general engine (so m = 0 is bit-identical to simple).
 * ``conjecture``  -- summands (-1)^{m n} [P_m(d/dz + log x) g](n) x^n.
+
+In every mode the k-th summand is x^k sum_p A[k, p] (log x)^p. The row
+A[k, .] depends on the kernel, the coefficient function, the mode and m,
+not on x: ``term`` builds it from the principal part and jet at k
+(``jets.residue_row`` or ``jets.pm_row``) on first use and keeps it in the
+handle, so every later evaluation of that summand, at any x, is one
+polynomial in log x times x^k. A handle starts with no rows;
+``with_closed_form`` returns a handle that builds its own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from .catalog import CoefficientFunction, KernelFunction
 from .errors import ConvergenceError, RadiusExceededError
-from .jets import PrincipalPart, pm_operator_apply, residue_from_principal_part
+from .jets import PrincipalPart, eval_row, pm_row, residue_row
 from .specfun import _neumaier_add
 
 MODES = ("simple", "general", "derivative", "conjecture")
@@ -48,6 +56,9 @@ class SeriesHandle:
     m: int = 0
     radius_hint: Optional[float] = None
     closed_form: Optional[Callable[[float], float]] = None
+    #: k -> row of the k-th summand, filled by ``term``
+    rows: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -85,17 +96,23 @@ def term(h: SeriesHandle, k: int, x: float):
     """The k-th summand of the integrand series at x > 0."""
     if x <= 0.0:
         raise ValueError(f"series variable must be positive, got x={x}")
+    row = h.rows.get(k)
+    if row is None:
+        row = h.rows[k] = _row(h, k)
+    if not row:
+        return 0.0
+    return eval_row(row, math.log(x)) * x ** k
+
+
+def _row(h: SeriesHandle, k: int) -> tuple:
+    """A[k, .]: the k-th summand divided by x^k, in powers of log x."""
     if h.mode == "conjecture":
-        jet = h.coeff.jet(k, h.m - 1)
-        val = pm_operator_apply(jet, math.log(x), h.m) * x ** k
-        if (h.m * k) % 2:
-            val = -val
-        return val
+        row = pm_row(h.coeff.jet(k, h.m - 1), h.m)
+        return tuple(-a for a in row) if (h.m * k) % 2 else row
     pp = h.kernel.principal_part(k)
     if h.mode == "derivative" and h.m > 0:
         pp = _derivative_principal_part(pp, h.m)
-    jet = h.coeff.jet(k, max(pp.order - 1, 0))
-    return residue_from_principal_part(pp, jet, x)
+    return residue_row(pp, h.coeff.jet(k, max(pp.order - 1, 0)))
 
 
 def _derivative_principal_part(pp: PrincipalPart, m: int) -> PrincipalPart:

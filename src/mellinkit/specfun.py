@@ -48,15 +48,6 @@ def _neumaier_add(total: float, comp: float, term: float) -> tuple[float, float]
     return new, comp
 
 
-def comp_sum(terms) -> float:
-    """Neumaier-compensated sum of an iterable of floats."""
-    total = 0.0
-    comp = 0.0
-    for t in terms:
-        total, comp = _neumaier_add(total, comp, t)
-    return total + comp
-
-
 # ---------------------------------------------------------------------------
 # gamma
 

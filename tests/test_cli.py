@@ -2,7 +2,8 @@
 
 import pytest
 
-from mellinkit import cli, mellin
+from mellinkit import cli, harness, mellin
+from mellinkit.errors import StripViolationError
 
 
 @pytest.fixture
@@ -50,3 +51,31 @@ class TestUsageErrors:
                             "supermultiplicative", "--m", "0.99")
         assert rc == cli.EXIT_USAGE and out == ""
         assert err.startswith("error:") and "requested h(1.39" in err
+
+
+class TestRepresentationStrip:
+    @pytest.mark.parametrize("kernel,specs,bad", [
+        ("pi_csc", ["0.5", "1.5"], "h(1.5)"),
+        ("gamma", ["0.5", "-0.5"], "h(-0.5)"),
+        ("gamma_cos_half", ["0.5+0.2i", "1.2"], "h(1.2)"),
+        ("pi_csc_deriv:1", ["0.2:1.2:3"], "h(1.2)"),
+        ("gamma_deriv:2", ["0"], "h(0.0)"),
+    ])
+    def test_mellin_kernel_outside_strip_fails_before_quadrature(
+            self, capsys, no_quadrature, kernel, specs, bad):
+        argv = ["mellin", "--kernel", kernel]
+        for spec in specs:
+            argv.append(f"--s={spec}")
+        rc, out, err = _run(capsys, *argv)
+        assert rc == cli.EXIT_USAGE and out == ""
+        assert err.startswith("error:") and f"requested {bad}" in err
+
+    def test_every_kernel_but_psi_has_a_strip(self):
+        for kernel in ("gamma", "pi_csc", "gamma_squared", "gamma_cos_half",
+                       "gamma_deriv:1", "pi_csc_deriv:2", "pi_csc_pow:3"):
+            with pytest.raises(StripViolationError):
+                harness.check_representable(kernel, 1.0 if "csc" in kernel
+                                            or "cos" in kernel else -0.1)
+        # psi's representation never converges: its transforms end in a
+        # quadrature diagnostic (exit 3), not a strip error
+        harness.check_representable("psi", 5.0)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 
 from mellinkit import harness, series, specfun
@@ -154,6 +155,39 @@ class TestSharedIntegrand:
         (smp,) = rep.samples
         assert smp.error.startswith("ConvergenceError")
         assert smp.n_evals > 0
+
+
+def _oracle(cid, s):
+    """The identity's value at s from mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        t = mpmath.mpf(s)
+        if cid == "gamma_bernoulli":
+            v = mpmath.gamma(t)
+        elif cid == "gamma_scaled:0.5":
+            v = mpmath.gamma(t) * mpmath.mpf(2) ** t
+        elif cid == "gamma_sq_sin_gamma":
+            v = -mpmath.pi * mpmath.gamma(t)
+        else:  # csc_deriv_rep:1, d/ds pi / sin(pi s)
+            v = -mpmath.pi ** 2 * mpmath.cos(mpmath.pi * t) / mpmath.sin(mpmath.pi * t) ** 2
+        return float(v)
+
+
+class TestIndependentOracle:
+    # samples the DE rule used to get wrong: a false convergence (the first
+    # three) and pieces that cancel (csc_deriv_rep:1)
+    @pytest.mark.parametrize("cid,s", [
+        ("gamma_scaled:0.5", 0.3313947153033542),
+        ("gamma_sq_sin_gamma", 0.2934654719404105),
+        ("gamma_bernoulli", 0.29347086720822746),
+        ("csc_deriv_rep:1", 0.5769467673581502),
+        ("csc_deriv_rep:1", 0.5777161910848946),
+    ])
+    def test_sample_passes_and_matches_mpmath(self, cid, s):
+        rep = harness.verify(cid, s_grid=[s])
+        (smp,) = rep.samples
+        want = _oracle(cid, s)
+        assert rep.passed and smp.converged and smp.error is None
+        assert abs(smp.lhs - want) <= 1e-12 * abs(want)
 
 
 class TestConjecture:

@@ -1,10 +1,12 @@
 """Tests for the double-exponential Mellin quadrature."""
 
+import cmath
 import math
 
+import mpmath
 import pytest
 
-from mellinkit import catalog, series, specfun
+from mellinkit import catalog, harness, mellin, series, specfun
 from mellinkit.errors import (AccelerationFailureError, ConvergenceError,
                               RadiusExceededError, SeamMismatchError,
                               SingularIntegrandError)
@@ -243,3 +245,114 @@ class TestSharedIntegrand:
             raised.append(info.value)
         assert len(calls) == 1
         assert raised[0] is not raised[1] and str(raised[0]) == str(raised[1])
+
+
+class TestNodeTables:
+    @staticmethod
+    def abscissae(level):
+        # t = 0, +-1, ..., +-6 at level 0; odd multiples of 2^-level after it
+        if level == 0:
+            return [0.0] + [sign * k for k in range(1, 7) for sign in (1.0, -1.0)]
+        h = 0.5 ** level
+        return [sign * (2 * i + 1) * h for i in range(int(6.9 / (2 * h)) + 1)
+                if (2 * i + 1) * h <= 6.9 for sign in (1.0, -1.0)]
+
+    @pytest.mark.parametrize("node_fn", [mellin._lower_node, mellin._upper_node])
+    @pytest.mark.parametrize("level", range(9))
+    def test_tables_equal_the_scalar_node_maps(self, node_fn, level):
+        nodes = [node_fn(t) for t in self.abscissae(level)]
+        want = [(x, lnx, w, math.log(w)) for x, lnx, w in
+                (n for n in nodes if n is not None) if w != 0.0 and x > 0.0]
+        table = mellin._node_table(node_fn, level)
+        got = list(zip(table.xs, table.x.tolist(), table.lnx.tolist(),
+                       table.w.tolist(), table.lw.tolist()))
+        assert [(g[0],) + g[2:] for g in got] == want
+        assert [g[0] for g in got] == [g[1] for g in got]
+        assert mellin._node_table(node_fn, level) is table
+
+
+class TestLevelSums:
+    @staticmethod
+    def scalar_levels(node_fn, f, s, levels):
+        """Trapezoid values level by level from a plain loop over the node
+        maps: the reference for the tabulated level sums."""
+        vals, val = [], 0.0
+        for level in range(levels):
+            h = 0.5 ** level
+            add = abs_add = 0.0
+            for t in TestNodeTables.abscissae(level):
+                node = node_fn(t)
+                if node is None or node[2] == 0.0 or node[0] <= 0.0:
+                    continue
+                x, lnx, w = node
+                log_pref = (s - 1.0) * lnx + math.log(w)
+                if log_pref.real < -800.0:
+                    continue
+                term = cmath.exp(log_pref) * f(x)
+                add += term
+                abs_add += abs(term)
+            val = val * 0.5 + add * h
+            vals.append((val, h * abs_add))
+        return vals
+
+    @pytest.mark.parametrize("node_fn", [mellin._lower_node, mellin._upper_node])
+    @pytest.mark.parametrize("s", [0.3, 0.8, 0.5 + 0.2j, -0.4])
+    def test_level_sums_match_a_scalar_loop(self, node_fn, s):
+        def f(x):
+            return x * math.exp(-x)
+
+        piece = mellin._Piece(node_fn, f, s, mellin._EvalBudget(10 ** 6))
+        for want, magnitude in self.scalar_levels(node_fn, f, s, 7):
+            piece.refine()
+            # the arithmetic differs only in the rounding of exp and the sums
+            assert abs(piece.val - want) <= 1e-14 * magnitude
+
+
+class TestStoppingRule:
+    def test_false_convergence_is_refused(self):
+        # one small level-to-level difference used to stop this transform
+        # at a relative error of 2.65e-6
+        s = 0.3313947153033542
+        q = mellin_transform(lambda x: math.exp(-0.5 * x), s, tol=1e-10)
+        with mpmath.workdps(30):
+            want = complex(mpmath.gamma(s) * mpmath.mpf(2) ** s)
+        assert q.converged
+        assert abs(q.value - want) <= 1e-14 * abs(want)
+
+    def test_pieces_are_judged_against_their_total(self):
+        # pieces of opposite sign: (1 - x) e^-x at s = 0.99 is 0.01 Gamma(s)
+        s = 0.99
+        q = mellin_transform(lambda x: (1.0 - x) * math.exp(-x), s, tol=1e-10)
+        with mpmath.workdps(30):
+            want = float(mpmath.gamma(s) * (1 - mpmath.mpf(s)))
+        assert q.converged
+        assert abs(q.value - want) <= 1e-12 * abs(want)
+        assert q.err_abs <= 1e-10 * abs(q.value)
+
+    def test_csc_derivative_sample_converges(self):
+        s = 0.5241580526842281
+        rep = harness.verify("csc_deriv_rep:1", s_grid=[s])
+        (smp,) = rep.samples
+        with mpmath.workdps(30):
+            t = mpmath.mpf(s)
+            want = float(-mpmath.pi ** 2 * mpmath.cos(mpmath.pi * t)
+                         / mpmath.sin(mpmath.pi * t) ** 2)
+        assert rep.passed and smp.converged
+        assert abs(smp.lhs - want) <= 1e-12 * abs(want)
+
+    def test_exactly_zero_total_is_not_converged(self):
+        # x^{s-1} on (0, 1) and -x^{-s-1} on (1, oo) integrate to 1/s and
+        # -1/s; at s = 0.255 the two piece sums cancel to exactly 0, at
+        # s = 0.5 to one ulp of 1
+        for s, total in ((0.255, 0.0), (0.5, 2.0 ** -52)):
+            q = mellin_transform(
+                lambda x: 1.0 if x < 1.0 else (-x ** (-2.0 * s) if x > 1.0 else 0.0),
+                s, tol=1e-10)
+            assert q.value == total
+            assert not q.converged and q.err_abs > 0.0
+            assert q.n_evals < 1000
+
+    def test_error_floor_covers_rounding(self):
+        # the last difference can be far below the rounding of the sum
+        q = mellin_transform(lambda x: math.exp(-x), 0.5, tol=1e-10)
+        assert q.err_abs >= 16 * 2.0 ** -52 * abs(q.value) / 4.0

@@ -62,6 +62,91 @@ class TestTerm:
                 assert lhs == pytest.approx(rhs, rel=1e-12), (m, k, x)
 
 
+def _direct_term(h, k, x):
+    """(k-th summand by the residue formula of its mode, the sum of the
+    magnitudes of its parts), written out with plain Python."""
+    lx = math.log(x)
+
+    def shift(derivs, m):
+        # [(d/dz + log x)^m g](k) as its binomial parts
+        return [math.comb(m, i) * derivs[i] * lx ** (m - i) for i in range(m + 1)]
+
+    parts = []
+    if h.mode == "conjecture":
+        derivs = h.coeff.jet(k, h.m - 1).derivs
+        poly = {1: [1.0], 2: [0.0, 1.0], 3: [math.pi ** 2, 0.0, 1.0],
+                4: [0.0, 4.0 * math.pi ** 2, 0.0, 1.0]}[h.m]
+        sign = -1.0 if (h.m * k) % 2 else 1.0
+        for d, a in enumerate(poly):
+            parts += [sign * a * p for p in shift(derivs, d)]
+    elif h.mode == "derivative":
+        # Res_{-k}(h) [(d/dz + log x)^m g](k)
+        residue = h.kernel.principal_part(k).residue
+        parts = [residue * p for p in shift(h.coeff.jet(k, h.m).derivs, h.m)]
+    else:
+        pp = h.kernel.principal_part(k)
+        derivs = h.coeff.jet(k, max(pp.order - 1, 0)).derivs
+        for j in range(1, pp.order + 1):
+            c = pp.coeffs[j - 1] * (-1.0) ** (j - 1) / math.factorial(j - 1)
+            parts += [c * p for p in shift(derivs, j - 1)]
+    xk = x ** k
+    return sum(parts) * xk, sum(abs(p) for p in parts) * xk
+
+
+#: a handle per registered mode, with pole gaps, higher-order poles and
+#: non-constant jets
+ROW_HANDLES = [
+    ("gamma", "const_one", "simple", 0),
+    ("pi_csc", "power_a:2", "simple", 0),
+    ("gamma_cos_half", "inv_linear", "simple", 0),
+    ("gamma_squared", "const_one", "general", 0),
+    ("gamma_squared", "sin_gamma", "general", 0),
+    ("pi_csc_pow:3", "inv_gamma", "general", 0),
+    ("gamma", "const_one", "derivative", 2),
+    ("pi_csc", "inv_linear", "derivative", 1),
+    ("pi_csc_pow:2", "inv_gamma", "conjecture", 2),
+    ("pi_csc_pow:3", "inv_linear", "conjecture", 3),
+    ("pi_csc_pow:4", "const_one", "conjecture", 4),
+]
+
+
+class TestRows:
+    @pytest.mark.parametrize("kid,gid,mode,m", ROW_HANDLES)
+    def test_terms_match_the_residue_formula(self, kid, gid, mode, m):
+        h = series.handle(catalog.kernel(kid), catalog.coefficient(gid),
+                          mode=mode, m=m, radius_hint=1.0)
+        for k in range(30):
+            for x in (0.3, 0.9, 1.7):
+                want, scale = _direct_term(h, k, x)
+                got = series.term(h, k, x)
+                assert abs(got - want) <= 1e-13 * scale, (k, x)
+
+    def test_rows_are_built_on_first_use_and_kept_per_handle(self):
+        g = catalog.coefficient("inv_linear")
+        h = series.handle(catalog.kernel("pi_csc"), g, mode="derivative", m=1)
+        assert h.rows == {}
+        first = series.term(h, 3, 0.4)
+        row = h.rows[3]
+        assert series.term(h, 3, 0.4) == first and h.rows[3] is row
+        # a handle that differs only in m, or a copy with a closed form,
+        # builds rows of its own
+        other = series.handle(catalog.kernel("pi_csc"), g, mode="derivative", m=2)
+        assert other.rows == {} and other.rows is not h.rows
+        assert h.with_closed_form(lambda x: 0.0).rows == {}
+
+    def test_handles_freed_and_rebuilt_get_their_own_rows(self):
+        # handles made and dropped one after another may reuse an address;
+        # each must still evaluate its own summands
+        g = catalog.coefficient("inv_gamma")
+        for _ in range(3):
+            for m in (2, 3, 2, 4):
+                h = series.handle(catalog.kernel(f"pi_csc_pow:{m}"), g,
+                                  mode="conjecture", m=m, radius_hint=1.0)
+                want, scale = _direct_term(h, 5, 0.6)
+                assert abs(series.term(h, 5, 0.6) - want) <= 1e-13 * scale
+                del h
+
+
 class TestEstimateL:
     def test_gamma_kernel(self):
         h = simple_handle("gamma", "const_one")
