@@ -45,7 +45,6 @@ class KernelFunction:
     eval: Callable
     principal_part: Callable[[int], PrincipalPart]
     phi_eval: Callable
-    deriv_order: int = 0
     simple_poles: bool = True
 
 
@@ -202,8 +201,7 @@ def _kernel_gamma_deriv(m: int) -> KernelFunction:
                 "phi of a derivative kernel diverges at the integers")
         return _sinpi(z) * specfun.gamma_deriv(m, -z)
 
-    return KernelFunction(f"gamma_deriv:{m}", ev, pp, phi,
-                          deriv_order=m, simple_poles=False)
+    return KernelFunction(f"gamma_deriv:{m}", ev, pp, phi, simple_poles=False)
 
 
 def _kernel_pi_csc_deriv(m: int) -> KernelFunction:
@@ -224,8 +222,7 @@ def _kernel_pi_csc_deriv(m: int) -> KernelFunction:
                 "phi of a derivative kernel diverges at the integers")
         return _sinpi(z) * specfun.csc_deriv(m, -z)
 
-    return KernelFunction(f"pi_csc_deriv:{m}", ev, pp, phi,
-                          deriv_order=m, simple_poles=False)
+    return KernelFunction(f"pi_csc_deriv:{m}", ev, pp, phi, simple_poles=False)
 
 
 def _csc_power_principal_coeffs(m: int) -> list:

@@ -12,16 +12,27 @@ and an expected status:
                            integrand; the squared-gamma Bernoulli recovery
                            sign question). Executed to confirm the expected
                            behavior, never gated.
+
+Closed forms and representations come from one table, ``_FORMS``, keyed by
+kernel name. Each entry holds the strip of the kernel's g = 1
+representation, the closed form of its g = 1 series for each kernel
+parameter m, its series mode, and the closed forms for the few
+coefficients g outside {1, a^z}. A coefficient g = a^z needs no entry:
+g(-z) x^{-z} = (a x)^{-z}, so its series is the g = 1 series at a x. Every
+identity's series handle (``_series_handle``) and every g = 1
+representation (``representation_handle``, ``check_representable``) is
+derived from that table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from . import catalog, series, specfun
 from .errors import MellinkitError, StripViolationError, UnknownIdError
+from .jets import pm_polynomial
 from .mellin import (QuadResult, Strip, _memoized, _seam_guard, _series_run,
                      mellin_oscillatory, mellin_transform)
 # kept as harness.mellin_on_series: perfbench/test_perfbench.py checks that
@@ -80,15 +91,7 @@ class IdentityCase:
 
 
 # ---------------------------------------------------------------------------
-# closed forms for the registered series
-
-def _exp_decay(a: float):
-    return lambda x: math.exp(-a * x)
-
-
-def _geometric_alt(x: float) -> float:
-    return 1.0 / (1.0 + x)
-
+# closed forms and representations: one table, keyed by kernel name
 
 def _log_over_one_minus(x: float) -> float:
     # sum of log(x) x^n: continuous across x = 1 with value -1
@@ -96,14 +99,6 @@ def _log_over_one_minus(x: float) -> float:
     if d == 0.0:
         return -1.0
     return math.log1p(d) / (-d)
-
-
-def _log_sq_over_one_plus(x: float) -> float:
-    return (math.log(x) ** 2 + PI * PI) / (1.0 + x)
-
-
-def _neg_expx_gamma0(x: float) -> float:
-    return -specfun.expx_gamma0(x)
 
 
 def _dilog_combo(x: float) -> float:
@@ -122,30 +117,87 @@ def _trilog_combo(x: float) -> float:
             - 2.0 * specfun.polylog(3, -x)) / x
 
 
-#: closed forms of the classical series sum_n (-1)^n g(n) x^n per coefficient
-_CLASSICAL_CLOSED: dict = {
-    "const_one": _geometric_alt,
-    "inv_gamma": _exp_decay(1.0),
-    "inv_linear": lambda x: math.log1p(x) / x,
+def _csc_power_weight(m: int):
+    """P_m(log x) / (1 - (-1)^m x): the g = 1 conjecture series of order m,
+    which carries the factor (-1)^{m-1} (m-1)! of the conjecture. For even
+    m, P_m(L) = L Q(L) and log(x)/(1 - x) is taken continuously through
+    x = 1."""
+    coeffs = pm_polynomial(m).coeffs
+    if m % 2 == 0:
+        coeffs = coeffs[1:]
+
+    def q(lx: float) -> float:
+        return sum(a * lx ** p for p, a in enumerate(coeffs) if a)
+
+    if m % 2:
+        return lambda x: q(math.log(x)) / (1.0 + x)
+    return lambda x: q(math.log(x)) * _log_over_one_minus(x)
+
+
+@dataclass(frozen=True)
+class _Forms:
+    """What the registry knows of the series of one kernel family."""
+
+    strip: Optional[tuple]  # Re(s) range of the g = 1 representation
+    one: Callable           # m -> closed form of the g = 1 series
+    by_coeff: dict = field(default_factory=dict)  # (m, coeff id) -> closed form
+    mode: str = "residue"
+    radius: Optional[float] = None  # None: from the coefficient's growth data
+    half_period: float = 0.0        # > 0: the oscillatory rule, at g = 1
+
+
+#: m is the kernel's parameter (0 for kernels without one). psi has no
+#: strip: its g = 1 integrand -1/(1 - x) is not integrable, and its
+#: transforms end in a quadrature diagnostic.
+_FORMS = {
+    "gamma": _Forms((0.0, math.inf), lambda m: lambda x: math.exp(-x)),
+    "gamma_deriv": _Forms((0.0, math.inf),
+                          lambda m: lambda x: math.exp(-x) * math.log(x) ** m),
+    "gamma_squared": _Forms(
+        (0.0, math.inf),
+        lambda m: lambda x: 2.0 * specfun.bessel_k0(2.0 * math.sqrt(x)),
+        {(0, "sin_gamma"): lambda x: -PI * math.exp(-x)}),
+    "gamma_cos_half": _Forms((0.0, 1.0), lambda m: math.cos, half_period=PI),
+    "pi_csc": _Forms((0.0, 1.0), lambda m: lambda x: 1.0 / (1.0 + x),
+                     {(0, "inv_gamma"): lambda x: math.exp(-x),
+                      (0, "inv_linear"): lambda x: math.log1p(x) / x}),
+    "pi_csc_deriv": _Forms((0.0, 1.0),
+                           lambda m: lambda x: math.log(x) ** m / (1.0 + x)),
+    "pi_csc_pow": _Forms((0.0, 1.0), _csc_power_weight,
+                         {(2, "inv_gamma"): lambda x: -specfun.expx_gamma0(x),
+                          (2, "inv_linear"): _dilog_combo,
+                          (3, "inv_linear"): _trilog_combo},
+                         mode="conjecture", radius=1.0),
+    "psi": _Forms(None, lambda m: lambda x: -1.0 / (1.0 - x)),
 }
 
-#: closed forms of the conjecture series, keyed by (m, coefficient id)
-_CONJECTURE_CLOSED: dict = {
-    (2, "const_one"): _log_over_one_minus,
-    (3, "const_one"): _log_sq_over_one_plus,
-    (2, "inv_gamma"): _neg_expx_gamma0,
-    (2, "inv_linear"): _dilog_combo,
-    (3, "inv_linear"): _trilog_combo,
-}
+
+def _closed_form(forms: _Forms, m: int, coeff_id: str):
+    if coeff_id == "const_one":
+        return forms.one(m)
+    if coeff_id.startswith("power_a:"):
+        # g(-z) x^{-z} = (a x)^{-z}: every summand is the g = 1 one at a x
+        a = float(coeff_id.split(":", 1)[1])
+        f = forms.one(m)
+        return lambda x: f(a * x)
+    return forms.by_coeff.get((m, coeff_id))
 
 
-def _classical_closed_for(coeff: catalog.CoefficientFunction):
-    if coeff.id in _CLASSICAL_CLOSED:
-        return _CLASSICAL_CLOSED[coeff.id]
-    if coeff.id.startswith("power_a:"):
-        a = float(coeff.id.split(":", 1)[1])
-        return lambda x: 1.0 / (1.0 + a * x)
-    return None
+def _series_handle(kernel_id: str, coeff_id: str = "const_one",
+                   radius_hint: Optional[float] = None) -> series.SeriesHandle:
+    """The integrand series of a kernel and a coefficient, with the closed
+    form the table gives for it (None where it has none)."""
+    name, _, param = kernel_id.partition(":")
+    forms = _FORMS.get(name)
+    if forms is None:
+        raise UnknownIdError(f"no integral representation registered for {kernel_id!r}")
+    kern = catalog.kernel(kernel_id)  # rejects a missing or malformed parameter
+    m = int(param) if param else 0
+    return series.handle(
+        kern, catalog.coefficient(coeff_id), mode=forms.mode,
+        m=m if forms.mode == "conjecture" else 0,
+        radius_hint=forms.radius if radius_hint is None else radius_hint,
+        closed_form=_closed_form(forms, m, coeff_id))
 
 
 # ---------------------------------------------------------------------------
@@ -155,14 +207,14 @@ def _series_lhs(handle: series.SeriesHandle):
     return lambda tol: _series_run(handle, tol)
 
 
-def _oscillatory_lhs(f, half_period: float, handle: series.SeriesHandle):
+def _oscillatory_lhs(handle: series.SeriesHandle, half_period: float):
     def lhs(tol):
         # series-vs-closed-form agreement inside the radius, once per run
         guard = _seam_guard(handle, tol)
 
         def run(s):
             guard()
-            return mellin_oscillatory(f, s, half_period, tol=tol)
+            return mellin_oscillatory(handle.closed_form, s, half_period, tol=tol)
         return run
     return lhs
 
@@ -177,10 +229,8 @@ def _classical_rmt_case(coeff_id: str, tol: float = 1e-8,
     Also the m = 1 reduction target of the conjecture runner: both paths
     construct their samples through this function.
     """
-    g = catalog.coefficient(coeff_id)
-    closed = _classical_closed_for(g)
-    h = series.handle(catalog.kernel("pi_csc"), g, mode="simple",
-                      closed_form=closed)
+    h = _series_handle("pi_csc", coeff_id)
+    g = h.coeff
 
     def rhs(s):
         return (PI / specfun._sinpi_complex(complex(s))) * g.eval(-complex(s))
@@ -206,12 +256,9 @@ def _build_registry() -> dict:
     def add(case: IdentityCase):
         cases[case.id] = case
 
-    one = catalog.coefficient("const_one")
-
     # --- gamma kernel: Bernoulli's representation
-    h_gamma = series.handle(catalog.kernel("gamma"), one, closed_form=_exp_decay(1.0))
     add(IdentityCase(
-        "gamma_bernoulli", _series_lhs(h_gamma),
+        "gamma_bernoulli", _series_lhs(_series_handle("gamma")),
         lambda s: specfun.gamma(s), Strip(0.0, 1.0),
         ("corollary", "integral-representation"),
         note="weight e^{-x}; the classical Euler integral"))
@@ -221,31 +268,23 @@ def _build_registry() -> dict:
 
     # --- gamma kernel with scaling coefficient a^z
     for a in (0.5, 2.0):
-        g = catalog.coefficient(f"power_a:{a:g}")
-        h = series.handle(catalog.kernel("gamma"), g, closed_form=_exp_decay(a))
         add(IdentityCase(
-            f"gamma_scaled:{a:g}", _series_lhs(h),
+            f"gamma_scaled:{a:g}", _series_lhs(_series_handle("gamma", f"power_a:{a:g}")),
             (lambda a_: lambda s: specfun.gamma(s) * a_ ** (-complex(s)))(a),
             Strip(0.0, 1.0), ("corollary", "scaling")))
 
     # --- cosine transform (conditionally convergent, oscillatory rule)
     for a in (1.0, 2.0):
-        g = catalog.coefficient(f"power_a:{a:g}")
-        h = series.handle(catalog.kernel("gamma_cos_half"), g,
-                          closed_form=(lambda a_: lambda x: math.cos(a_ * x))(a))
         add(IdentityCase(
             f"cos_mellin:{a:g}",
-            _oscillatory_lhs((lambda a_: lambda x: math.cos(a_ * x))(a), PI / a, h),
+            _oscillatory_lhs(_series_handle("gamma_cos_half", f"power_a:{a:g}"), PI / a),
             (lambda a_: lambda s: a_ ** (-complex(s)) * specfun.gamma(s)
              * specfun._sinpi_complex(0.5 * complex(s) + 0.5))(a),
             Strip(0.0, 1.0), ("corollary", "oscillatory"), default_tol=1e-6))
 
     # --- squared gamma: harmonic-number weight, K0 closed form
-    h_g2 = series.handle(
-        catalog.kernel("gamma_squared"), one, mode="general",
-        closed_form=lambda x: 2.0 * specfun.bessel_k0(2.0 * math.sqrt(x)))
     add(IdentityCase(
-        "gamma_squared_rep", _series_lhs(h_g2),
+        "gamma_squared_rep", _series_lhs(_series_handle("gamma_squared")),
         lambda s: specfun.gamma(s) ** 2, Strip(0.0, 1.0),
         ("theorem", "higher-order", "integral-representation"),
         note="weight 2 K0(2 sqrt(x))"))
@@ -263,11 +302,8 @@ def _build_registry() -> dict:
         note="s = 1 sample is the pi/2 evaluation"))
 
     # --- derivative kernels, g = 1
-    h_csc_d1 = series.handle(
-        catalog.kernel("pi_csc"), one, mode="derivative", m=1,
-        closed_form=lambda x: math.log(x) / (1.0 + x))
     add(IdentityCase(
-        "csc_deriv_rep:1", _series_lhs(h_csc_d1),
+        "csc_deriv_rep:1", _series_lhs(_series_handle("pi_csc_deriv:1")),
         lambda s: specfun.csc_deriv(1, s), Strip(0.0, 1.0),
         ("corollary", "derivative-kernel"),
         note="weight log(x)/(1+x); the rhs vanishes at s = 1/2, so the "
@@ -275,21 +311,15 @@ def _build_registry() -> dict:
         grid_override=tuple(0.15 + 0.12 * i for i in range(7)) + (0.45 + 0.2j,)))
 
     for m in (1, 2):
-        h = series.handle(
-            catalog.kernel("gamma"), one, mode="derivative", m=m,
-            closed_form=(lambda m_: lambda x: math.exp(-x) * math.log(x) ** m_)(m))
         add(IdentityCase(
-            f"gamma_deriv_rep:{m}", _series_lhs(h),
+            f"gamma_deriv_rep:{m}", _series_lhs(_series_handle(f"gamma_deriv:{m}")),
             (lambda m_: lambda s: specfun.gamma_deriv(m_, s))(m),
             Strip(0.0, 1.0), ("corollary", "derivative-kernel"),
             note=f"weight e^-x log^{m}(x)"))
 
     # --- digamma corollary, g = 1: non-integrable across x = 1
-    h_psi = series.handle(
-        catalog.kernel("psi"), one,
-        closed_form=lambda x: -1.0 / (1.0 - x))
     add(IdentityCase(
-        "digamma_corollary", _series_lhs(h_psi),
+        "digamma_corollary", _series_lhs(_series_handle("psi")),
         lambda s: specfun.polygamma(0, s), Strip(0.0, 1.0),
         ("corollary", "expected-failure"),
         expected_status="known-problematic",
@@ -298,10 +328,7 @@ def _build_registry() -> dict:
               "diagnostic, not a value")))
 
     # --- squared gamma with g = sin(pi z) Gamma(z+1): the sign question
-    g_sin = catalog.coefficient("sin_gamma")
-    h_sg = series.handle(
-        catalog.kernel("gamma_squared"), g_sin, mode="general",
-        radius_hint=1.0, closed_form=lambda x: -PI * math.exp(-x))
+    h_sg = _series_handle("gamma_squared", "sin_gamma", radius_hint=1.0)
 
     def rhs_sg(s):
         z = complex(s)
@@ -326,13 +353,7 @@ def _build_registry() -> dict:
              / specfun._sinpi_complex(complex(s))),
             ((2, "inv_linear"), 1e-6, None),
             ((3, "inv_linear"), 1e-6, None)):
-        case = _conjecture_case(m, gid, tol)
-        if rhs_alt is not None:
-            case = IdentityCase(
-                case.id, case.lhs, case.rhs, case.strip, case.tags,
-                case.expected_status, case.default_tol, case.note,
-                case.annotate, rhs_alt)
-        add(case)
+        add(replace(_conjecture_case(m, gid, tol), rhs_alt=rhs_alt))
 
     return cases
 
@@ -341,10 +362,8 @@ def _conjecture_case(m: int, coeff_id: str, tol: float = 1e-6) -> IdentityCase:
     if m == 1:
         return _classical_rmt_case(coeff_id, tol,
                                    case_id=f"conjecture:m=1:{coeff_id}")
-    g = catalog.coefficient(coeff_id)
-    closed = _CONJECTURE_CLOSED.get((m, coeff_id))
-    h = series.handle(catalog.kernel(f"pi_csc_pow:{m}"), g, mode="conjecture",
-                      m=m, radius_hint=1.0, closed_form=closed)
+    h = _series_handle(f"pi_csc_pow:{m}", coeff_id)
+    g = h.coeff
     sign = 1.0 if (m - 1) % 2 == 0 else -1.0
     fac = math.factorial(m - 1)
 
@@ -464,27 +483,13 @@ def _representation_run(kernel_id: str, tol: float):
     return _series_run(h, tol)
 
 
-#: Re(s) range on which each kernel's g = 1 representation converges, by
-#: kernel name. psi has none: its g = 1 integrand -1/(1 - x) is not
-#: integrable, and its transforms end in a quadrature diagnostic.
-_REPRESENTABLE = {
-    "gamma": (0.0, math.inf),
-    "gamma_deriv": (0.0, math.inf),
-    "gamma_squared": (0.0, math.inf),
-    "gamma_cos_half": (0.0, 1.0),
-    "pi_csc": (0.0, 1.0),
-    "pi_csc_deriv": (0.0, 1.0),
-    "pi_csc_pow": (0.0, 1.0),
-}
-
-
 def check_representable(kernel_id: str, s) -> None:
     """Raise StripViolationError when Re(s) lies outside the strip where
     the kernel's g = 1 representation converges."""
-    strip = _REPRESENTABLE.get(kernel_id.split(":", 1)[0])
-    if strip is None:
+    forms = _FORMS.get(kernel_id.split(":", 1)[0])
+    if forms is None or forms.strip is None:
         return
-    lo, hi = strip
+    lo, hi = forms.strip
     if not lo < (s.real if isinstance(s, complex) else s) < hi:
         raise StripViolationError(
             f"{kernel_id} representation converges on ({lo}, {hi}); "
@@ -496,44 +501,9 @@ def representation_handle(kernel_id: str):
 
     Returns (handle, oscillatory_flag, half_period).
     """
-    one = catalog.coefficient("const_one")
-    name = kernel_id.split(":", 1)[0]
-    if kernel_id == "gamma":
-        return (series.handle(catalog.kernel("gamma"), one,
-                              closed_form=_exp_decay(1.0)), False, 0.0)
-    if kernel_id == "pi_csc":
-        return (series.handle(catalog.kernel("pi_csc"), one,
-                              closed_form=_geometric_alt), False, 0.0)
-    if kernel_id == "gamma_squared":
-        return (series.handle(
-            catalog.kernel("gamma_squared"), one, mode="general",
-            closed_form=lambda x: 2.0 * specfun.bessel_k0(2.0 * math.sqrt(x))),
-            False, 0.0)
-    if kernel_id == "gamma_cos_half":
-        return (series.handle(catalog.kernel("gamma_cos_half"), one,
-                              closed_form=math.cos), True, PI)
-    if kernel_id == "psi":
-        return (series.handle(catalog.kernel("psi"), one,
-                              closed_form=lambda x: -1.0 / (1.0 - x)), False, 0.0)
-    if name == "gamma_deriv":
-        m = int(kernel_id.split(":", 1)[1])
-        return (series.handle(
-            catalog.kernel("gamma"), one, mode="derivative", m=m,
-            closed_form=(lambda m_: lambda x: math.exp(-x) * math.log(x) ** m_)(m)),
-            False, 0.0)
-    if name == "pi_csc_deriv":
-        m = int(kernel_id.split(":", 1)[1])
-        return (series.handle(
-            catalog.kernel("pi_csc"), one, mode="derivative", m=m,
-            closed_form=(lambda m_: lambda x: math.log(x) ** m_ / (1.0 + x))(m)),
-            False, 0.0)
-    if name == "pi_csc_pow":
-        m = int(kernel_id.split(":", 1)[1])
-        closed = _CONJECTURE_CLOSED.get((m, "const_one"))
-        return (series.handle(catalog.kernel(kernel_id), one, mode="conjecture",
-                              m=m, radius_hint=1.0, closed_form=closed),
-                False, 0.0)
-    raise UnknownIdError(f"no integral representation registered for {kernel_id!r}")
+    h = _series_handle(kernel_id)
+    half_period = _FORMS[kernel_id.split(":", 1)[0]].half_period
+    return h, half_period > 0.0, half_period
 
 
 def verify_all(tol_overrides: Optional[dict] = None) -> list:

@@ -2,16 +2,11 @@
 estimates the root-test constant L, and evaluates truncated series with tail
 control.
 
-Modes:
+Modes, one per kind of summand:
 
-* ``simple``      -- summands Res_{-k}(h) g(k) x^k (simple-pole kernels,
-                     including kernels with pole gaps).
-* ``general``     -- full residue of h(z) g(-z) x^{-z} at -k from the
-                     principal part (higher-order poles).
-* ``derivative``  -- the m-th derivative kernel of a simple-pole base:
-                     summands Res_{-k}(h) [(d/dz + log x)^m g](k) x^k,
-                     realized by transforming the principal part and feeding
-                     the general engine (so m = 0 is bit-identical to simple).
+* ``residue``     -- the residue of h(z) g(-z) x^{-z} at z = -k, from the
+                     principal part of h at -k, whatever its order (simple
+                     poles, pole gaps, higher-order and derivative kernels).
 * ``conjecture``  -- summands (-1)^{m n} [P_m(d/dz + log x) g](n) x^n.
 
 In every mode the k-th summand is x^k sum_p A[k, p] (log x)^p. The row
@@ -31,10 +26,10 @@ from typing import Callable, Optional
 
 from .catalog import CoefficientFunction, KernelFunction
 from .errors import ConvergenceError, RadiusExceededError
-from .jets import PrincipalPart, eval_row, pm_row, residue_row
+from .jets import eval_row, pm_row, residue_row
 from .specfun import _neumaier_add
 
-MODES = ("simple", "general", "derivative", "conjecture")
+MODES = ("residue", "conjecture")
 
 #: default truncation controls (factorial decay dominates all registered
 #: identities well before the cap)
@@ -52,8 +47,8 @@ class SeriesHandle:
 
     kernel: KernelFunction
     coeff: CoefficientFunction
-    mode: str = "simple"
-    m: int = 0
+    mode: str = "residue"
+    m: int = 0  # the conjecture order
     radius_hint: Optional[float] = None
     closed_form: Optional[Callable[[float], float]] = None
     #: k -> row of the k-th summand, filled by ``term``
@@ -67,15 +62,13 @@ class SeriesHandle:
             raise ValueError(f"radius hint must be positive, got {self.radius_hint}")
         if self.mode == "conjecture" and self.m < 1:
             raise ValueError("conjecture mode needs m >= 1")
-        if self.mode == "derivative" and self.m < 0:
-            raise ValueError("derivative mode needs m >= 0")
 
     def with_closed_form(self, fn, radius=None) -> "SeriesHandle":
         return replace(self, closed_form=fn,
                        radius_hint=radius if radius is not None else self.radius_hint)
 
 
-def handle(kernel: KernelFunction, coeff: CoefficientFunction, mode: str = "simple",
+def handle(kernel: KernelFunction, coeff: CoefficientFunction, mode: str = "residue",
            m: int = 0, radius_hint: Optional[float] = None,
            closed_form=None) -> SeriesHandle:
     if radius_hint is None:
@@ -110,19 +103,7 @@ def _row(h: SeriesHandle, k: int) -> tuple:
         row = pm_row(h.coeff.jet(k, h.m - 1), h.m)
         return tuple(-a for a in row) if (h.m * k) % 2 else row
     pp = h.kernel.principal_part(k)
-    if h.mode == "derivative" and h.m > 0:
-        pp = _derivative_principal_part(pp, h.m)
     return residue_row(pp, h.coeff.jet(k, max(pp.order - 1, 0)))
-
-
-def _derivative_principal_part(pp: PrincipalPart, m: int) -> PrincipalPart:
-    # d^m/dz^m of a simple pole: sole coefficient c_{-m-1} = (-1)^m m! c_{-1}
-    if pp.order == 0:
-        return pp
-    if pp.order != 1:
-        raise ValueError("derivative mode needs a simple-pole base kernel")
-    lead = (-1.0 if m % 2 else 1.0) * math.factorial(m) * pp.coeffs[0]
-    return PrincipalPart(pp.k, m + 1, (0.0,) * m + (lead,))
 
 
 @dataclass(frozen=True)

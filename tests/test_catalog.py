@@ -63,7 +63,6 @@ class TestKernelRegistry:
         assert pp.coeffs[0] == 0.0 and pp.coeffs[1] == 0.0
         # c_{-3} = (-1)^2 2! * Res_{-1}(Gamma) = 2 * (-1)
         assert pp.coeffs[2] == pytest.approx(-2.0, rel=1e-14)
-        assert k.deriv_order == 2
         # m = 0 falls back to the base kernel
         assert kernel("gamma_deriv:0").id == "gamma"
         assert kernel("pi_csc_pow:1").id == "pi_csc"

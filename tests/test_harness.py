@@ -4,9 +4,11 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mellinkit import harness, series, specfun
-from mellinkit.errors import StripViolationError, UnknownIdError
+from mellinkit import catalog, harness, series, specfun
+from mellinkit.errors import MellinkitError, StripViolationError, UnknownIdError
 
 PI = math.pi
 
@@ -231,6 +233,24 @@ class TestConjecture:
         with pytest.raises(UnknownIdError):
             harness.verify_conjecture(0, "const_one")
 
+    def test_m4_const_one_passes_and_matches_mpmath(self):
+        # the cosecant-power closed form is written once for every m, so
+        # m = 4 has one without being registered
+        assert "conjecture:m=4:const_one" not in {
+            cid for cid, *_ in harness.list_identities()}
+        rep = harness.verify_conjecture(4, "const_one")
+        assert rep.passed and rep.max_rel_err <= 1e-12
+        for smp in rep.samples:
+            with mpmath.workdps(30):
+                t = mpmath.mpc(smp.s.real, smp.s.imag)
+                want = complex(-6 * (mpmath.pi / mpmath.sin(mpmath.pi * t)) ** 4)
+            assert abs(smp.lhs - want) <= 1e-12 * abs(want), smp.s
+
+    def test_scaled_coefficient_uses_the_scaled_g1_form(self):
+        # g = a^z: the closed form is the g = 1 one at a x
+        rep = harness.verify_conjecture(3, "power_a:0.5", s_grid=[0.3, 0.6])
+        assert rep.passed and rep.max_rel_err <= 1e-12
+
     def test_unregistered_closed_form_surfaces_errors(self):
         # m=4 has no closed form: the transform cannot leave the radius and
         # every sample records the failure instead of crashing
@@ -266,3 +286,87 @@ class TestIntegralRepresentation:
     def test_unknown_kernel(self):
         with pytest.raises(UnknownIdError):
             harness.integral_representation("zeta", 0.5)
+
+
+#: g = 1 identities and the kernel whose representation they run
+G1_IDENTITIES = [
+    ("gamma_bernoulli", "gamma"),
+    ("pi_csc_geometric", "pi_csc"),
+    ("gamma_squared_rep", "gamma_squared"),
+    ("csc_deriv_rep:1", "pi_csc_deriv:1"),
+    ("gamma_deriv_rep:1", "gamma_deriv:1"),
+    ("gamma_deriv_rep:2", "gamma_deriv:2"),
+    ("digamma_corollary", "psi"),
+    ("conjecture:m=2:const_one", "pi_csc_pow:2"),
+    ("conjecture:m=3:const_one", "pi_csc_pow:3"),
+    ("cos_mellin:1", "gamma_cos_half"),
+]
+
+
+class TestSingleSource:
+    @pytest.mark.parametrize("cid,kid", G1_IDENTITIES)
+    def test_identity_lhs_is_the_kernel_representation(self, cid, kid):
+        s, tol = 0.41 + 0.05j, harness.get_case(cid).default_tol
+        (smp,) = harness.verify(cid, s_grid=[s], tol=tol).samples
+        try:
+            q = harness.integral_representation(kid, s, tol=tol)
+        except MellinkitError as exc:
+            assert smp.error == f"{type(exc).__name__}: {exc}"
+            return
+        assert smp.error is None
+        assert (smp.lhs, smp.err_abs, smp.n_evals) == (
+            complex(q.value), q.err_abs, q.n_evals)
+
+    def test_every_kernel_has_a_table_entry(self):
+        names = {kid.split(":", 1)[0] for kid in catalog.kernel_ids()}
+        assert names == set(harness._FORMS)
+
+    @pytest.mark.parametrize("kid,gid,want", [
+        ("gamma", "power_a:2", lambda x: math.exp(-2.0 * x)),
+        ("gamma_cos_half", "power_a:2", lambda x: math.cos(2.0 * x)),
+        ("pi_csc", "power_a:0.5", lambda x: 1.0 / (1.0 + 0.5 * x)),
+        # the cosecant-power forms m = 2 and 3 as they were written out
+        ("pi_csc_pow:2", "const_one",
+         lambda x: -1.0 if x == 1.0 else math.log1p(x - 1.0) / (1.0 - x)),
+        ("pi_csc_pow:3", "const_one",
+         lambda x: (math.log(x) ** 2 + PI * PI) / (1.0 + x)),
+    ])
+    def test_derived_closed_forms_are_bit_identical(self, kid, gid, want):
+        closed = harness._series_handle(kid, gid).closed_form
+        for i in range(1, 400):
+            x = 0.0137 * i
+            assert closed(x) == want(x), x
+        assert closed(1.0) == want(1.0)
+
+
+#: real parts inside each representation's strip, small imaginary parts
+_im = st.floats(min_value=-0.5, max_value=0.5)
+
+
+def _rep(kid, s):
+    return complex(harness.integral_representation(kid, s, tol=1e-10).value)
+
+
+def _close(a, b, rel=1e-8):
+    return abs(a - b) <= rel * abs(b)
+
+
+class TestRepresentationProperties:
+    @given(st.sampled_from(["gamma", "pi_csc"]),
+           st.floats(min_value=0.05, max_value=0.95), _im)
+    @settings(max_examples=12)
+    def test_conjugate_symmetry(self, kid, sigma, t):
+        s = complex(sigma, t)
+        assert _close(_rep(kid, s.conjugate()), _rep(kid, s).conjugate())
+
+    @given(st.floats(min_value=0.05, max_value=0.95), _im)
+    @settings(max_examples=12)
+    def test_pi_csc_reflection(self, sigma, t):
+        s = complex(sigma, t)
+        assert _close(_rep("pi_csc", s), _rep("pi_csc", 1.0 - s))
+
+    @given(st.floats(min_value=0.1, max_value=2.5), _im)
+    @settings(max_examples=12)
+    def test_gamma_recurrence(self, sigma, t):
+        s = complex(sigma, t)
+        assert _close(s * _rep("gamma", s), _rep("gamma", s + 1.0))

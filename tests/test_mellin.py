@@ -173,16 +173,17 @@ class TestMellinOnSeries:
 class TestSharedIntegrand:
     GRID = (0.15, 0.4, 0.65, 0.9, 0.5 + 0.2j, 0.3 - 0.1j)
 
-    @pytest.mark.parametrize("kid,mode,closed", [
+    # (kernel, order of its poles: simple or general, closed form)
+    @pytest.mark.parametrize("kid,poles,closed", [
         ("gamma", "simple", lambda x: math.exp(-x)),
         ("gamma_squared", "general",
          lambda x: 2.0 * specfun.bessel_k0(2.0 * math.sqrt(x))),
         ("pi_csc", "simple", lambda x: 1.0 / (1.0 + x)),
     ])
-    def test_run_matches_unshared_transforms_bit_for_bit(self, kid, mode, closed):
+    def test_run_matches_unshared_transforms_bit_for_bit(self, kid, poles, closed):
         # reference: a fresh, unmemoized integrand for every s
         h = series.handle(catalog.kernel(kid), catalog.coefficient("const_one"),
-                          mode=mode, closed_form=closed)
+                          closed_form=closed)
         run = _series_run(h, 1e-10)
         for s in self.GRID:
             want = mellin_transform(

@@ -26,8 +26,7 @@ class TestTerm:
 
     def test_general_gamma_squared_term(self):
         # k = 0, x = e: -(2 gamma + 1) after substituting H_0 = 0, log x = 1
-        h = series.handle(catalog.kernel("gamma_squared"),
-                          catalog.coefficient("const_one"), mode="general")
+        h = simple_handle("gamma_squared", "const_one")
         got = series.term(h, 0, math.e)
         assert got == pytest.approx(-(2.0 * EULER + 1.0), rel=1e-14)
 
@@ -52,7 +51,7 @@ class TestTerm:
         g = catalog.coefficient("inv_linear")
         kern = catalog.kernel(f"pi_csc_pow:{m}")
         conj = series.handle(kern, g, mode="conjecture", m=m, radius_hint=1.0)
-        gen = series.handle(kern, g, mode="general", radius_hint=1.0)
+        gen = series.handle(kern, g, radius_hint=1.0)
         sign = 1.0 if (m - 1) % 2 == 0 else -1.0
         fac = math.factorial(m - 1)
         for k in range(7):
@@ -64,8 +63,11 @@ class TestTerm:
 
 def _direct_term(h, k, x):
     """(k-th summand by the residue formula of its mode, the sum of the
-    magnitudes of its parts), written out with plain Python."""
+    magnitudes of its parts), written out with plain Python. A derivative
+    kernel's summand is built from its base kernel's residue, not from the
+    kernel's own principal part."""
     lx = math.log(x)
+    name, _, param = h.kernel.id.partition(":")
 
     def shift(derivs, m):
         # [(d/dz + log x)^m g](k) as its binomial parts
@@ -79,10 +81,11 @@ def _direct_term(h, k, x):
         sign = -1.0 if (h.m * k) % 2 else 1.0
         for d, a in enumerate(poly):
             parts += [sign * a * p for p in shift(derivs, d)]
-    elif h.mode == "derivative":
-        # Res_{-k}(h) [(d/dz + log x)^m g](k)
-        residue = h.kernel.principal_part(k).residue
-        parts = [residue * p for p in shift(h.coeff.jet(k, h.m).derivs, h.m)]
+    elif name.endswith("_deriv"):
+        # Res_{-k}(base) [(d/dz + log x)^m g](k)
+        m = int(param)
+        residue = catalog.kernel(name[:-len("_deriv")]).principal_part(k).residue
+        parts = [residue * p for p in shift(h.coeff.jet(k, m).derivs, m)]
     else:
         pp = h.kernel.principal_part(k)
         derivs = h.coeff.jet(k, max(pp.order - 1, 0)).derivs
@@ -93,8 +96,10 @@ def _direct_term(h, k, x):
     return sum(parts) * xk, sum(abs(p) for p in parts) * xk
 
 
-#: a handle per registered mode, with pole gaps, higher-order poles and
-#: non-constant jets
+#: (kernel, coefficient, what the case exercises, m): simple poles, pole
+#: gaps, higher-order poles, the m-th derivative kernel of a simple-pole
+#: base, and the conjecture operator, with non-constant jets. All but the
+#: conjecture cases run in residue mode.
 ROW_HANDLES = [
     ("gamma", "const_one", "simple", 0),
     ("pi_csc", "power_a:2", "simple", 0),
@@ -110,11 +115,19 @@ ROW_HANDLES = [
 ]
 
 
+def _row_handle(kid, gid, kind, m):
+    if kind == "derivative":
+        kid = f"{kid}_deriv:{m}"
+    conjecture = kind == "conjecture"
+    return series.handle(catalog.kernel(kid), catalog.coefficient(gid),
+                         mode="conjecture" if conjecture else "residue",
+                         m=m if conjecture else 0, radius_hint=1.0)
+
+
 class TestRows:
-    @pytest.mark.parametrize("kid,gid,mode,m", ROW_HANDLES)
-    def test_terms_match_the_residue_formula(self, kid, gid, mode, m):
-        h = series.handle(catalog.kernel(kid), catalog.coefficient(gid),
-                          mode=mode, m=m, radius_hint=1.0)
+    @pytest.mark.parametrize("kid,gid,kind,m", ROW_HANDLES)
+    def test_terms_match_the_residue_formula(self, kid, gid, kind, m):
+        h = _row_handle(kid, gid, kind, m)
         for k in range(30):
             for x in (0.3, 0.9, 1.7):
                 want, scale = _direct_term(h, k, x)
@@ -123,14 +136,14 @@ class TestRows:
 
     def test_rows_are_built_on_first_use_and_kept_per_handle(self):
         g = catalog.coefficient("inv_linear")
-        h = series.handle(catalog.kernel("pi_csc"), g, mode="derivative", m=1)
+        h = series.handle(catalog.kernel("pi_csc_deriv:1"), g)
         assert h.rows == {}
         first = series.term(h, 3, 0.4)
         row = h.rows[3]
         assert series.term(h, 3, 0.4) == first and h.rows[3] is row
-        # a handle that differs only in m, or a copy with a closed form,
+        # a handle of the next derivative, or a copy with a closed form,
         # builds rows of its own
-        other = series.handle(catalog.kernel("pi_csc"), g, mode="derivative", m=2)
+        other = series.handle(catalog.kernel("pi_csc_deriv:2"), g)
         assert other.rows == {} and other.rows is not h.rows
         assert h.with_closed_form(lambda x: 0.0).rows == {}
 
@@ -181,8 +194,7 @@ class TestEstimateL:
             series.estimate_L(simple_handle("gamma", "const_one"), 4)
 
     def test_higher_order_kernel_rejected(self):
-        h = series.handle(catalog.kernel("gamma_squared"),
-                          catalog.coefficient("const_one"), mode="general")
+        h = simple_handle("gamma_squared", "const_one")
         with pytest.raises(ValueError):
             series.estimate_L(h, 32)
 
@@ -196,8 +208,7 @@ class TestEvalSeries:
         assert series.eval_series(h, 1.0) == math.exp(-1.0)
 
     def test_gamma_squared_matches_bessel(self):
-        h = series.handle(catalog.kernel("gamma_squared"),
-                          catalog.coefficient("const_one"), mode="general")
+        h = simple_handle("gamma_squared", "const_one")
         # frozen oracle: 2 K0(1) = 0.84204887648141666667
         got = series.eval_series(h, 0.25, tol=1e-13)
         assert got == pytest.approx(0.84204887648141666667, rel=1e-12)
@@ -216,21 +227,11 @@ class TestEvalSeries:
                 got = series.eval_series(h, x, tol=1e-12)
                 assert got == pytest.approx(math.exp(-a * x), rel=1e-11), (a, x)
 
-    def test_derivative_m0_reduces_to_simple_exactly(self):
-        base = simple_handle("gamma", "inv_linear")
-        deriv = series.handle(catalog.kernel("gamma"),
-                              catalog.coefficient("inv_linear"),
-                              mode="derivative", m=0)
-        for k in range(51):
-            for x in (0.2, 1.3):
-                assert series.term(deriv, k, x) == series.term(base, k, x)
-
     def test_conjecture_m1_reproduces_classical_summand_exactly(self):
         g = catalog.coefficient("inv_gamma")
         conj = series.handle(catalog.kernel("pi_csc_pow:1"), g,
                              mode="conjecture", m=1, radius_hint=1.0)
-        classical = series.handle(catalog.kernel("pi_csc"), g, mode="simple",
-                                  radius_hint=1.0)
+        classical = series.handle(catalog.kernel("pi_csc"), g, radius_hint=1.0)
         for k in range(51):
             for x in (0.4, 0.9):
                 want = classical and series.term(classical, k, x)
@@ -281,9 +282,11 @@ class TestSeamCheck:
 
 class TestHandleValidation:
     def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            series.SeriesHandle(catalog.kernel("gamma"),
-                                catalog.coefficient("const_one"), mode="weird")
+        assert series.MODES == ("residue", "conjecture")
+        for mode in ("weird", "simple", "general", "derivative"):
+            with pytest.raises(ValueError):
+                series.SeriesHandle(catalog.kernel("gamma"),
+                                    catalog.coefficient("const_one"), mode=mode)
 
     def test_conjecture_needs_positive_m(self):
         with pytest.raises(ValueError):
