@@ -284,10 +284,10 @@ def _mellin_runner(args, tol, grid):
                           catalog.coefficient(args.coeff))
         return (f"mellin:{args.kernel}:{args.coeff}",
                 lambda s: mellin_on_series(h, s, **kwargs))
-    h, oscillatory, half_period = harness.representation_handle(args.kernel)
+    h, half_period = harness.representation_handle(args.kernel)
     for s in grid:
         harness.check_representable(args.kernel, s)
-    if oscillatory:
+    if half_period > 0.0:
         return (f"mellin:{args.kernel}",
                 lambda s: mellin_oscillatory(h.closed_form, s, half_period, **kwargs))
     return f"mellin:{args.kernel}", lambda s: mellin_on_series(h, s, **kwargs)

@@ -52,7 +52,8 @@ class SeamMismatchError(MellinkitError, RuntimeError):
 
 
 class AccelerationFailureError(ConvergenceError):
-    """Oscillatory partial sums stopped alternating; extrapolation aborted."""
+    """The oscillatory rule's sums do not converge double exponentially: the
+    integrand does not oscillate as declared."""
 
 
 class StripViolationError(MellinkitError, ValueError):

@@ -192,31 +192,34 @@ def _series_handle(kernel_id: str, coeff_id: str = "const_one",
     if forms is None:
         raise UnknownIdError(f"no integral representation registered for {kernel_id!r}")
     kern = catalog.kernel(kernel_id)  # rejects a missing or malformed parameter
+    coeff = catalog.coefficient(coeff_id)
     m = int(param) if param else 0
+    if radius_hint is None:  # the table's radius only without growth data
+        radius_hint = series.theorem_radius(coeff) or forms.radius
     return series.handle(
-        kern, catalog.coefficient(coeff_id), mode=forms.mode,
-        m=m if forms.mode == "conjecture" else 0,
-        radius_hint=forms.radius if radius_hint is None else radius_hint,
-        closed_form=_closed_form(forms, m, coeff_id))
+        kern, coeff, mode=forms.mode, m=m if forms.mode == "conjecture" else 0,
+        radius_hint=radius_hint, closed_form=_closed_form(forms, m, coeff_id))
 
 
 # ---------------------------------------------------------------------------
 # lhs builders
 
-def _series_lhs(handle: series.SeriesHandle):
-    return lambda tol: _series_run(handle, tol)
+def _run(handle: series.SeriesHandle, half_period: float, tol: float):
+    """s -> QuadResult for every s of one run on ``handle``, seam check and
+    integrand memoized; a positive half period selects the oscillatory rule."""
+    if half_period <= 0.0:
+        return _series_run(handle, tol)
+    guard = _seam_guard(handle, tol)
+    f = _memoized(handle.closed_form)
+
+    def run(s):
+        guard()
+        return mellin_oscillatory(f, s, half_period, tol=tol)
+    return run
 
 
-def _oscillatory_lhs(handle: series.SeriesHandle, half_period: float):
-    def lhs(tol):
-        # series-vs-closed-form agreement inside the radius, once per run
-        guard = _seam_guard(handle, tol)
-
-        def run(s):
-            guard()
-            return mellin_oscillatory(handle.closed_form, s, half_period, tol=tol)
-        return run
-    return lhs
+def _lhs(handle: series.SeriesHandle, half_period: float = 0.0):
+    return lambda tol: _run(handle, half_period, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +240,7 @@ def _classical_rmt_case(coeff_id: str, tol: float = 1e-8,
 
     return IdentityCase(
         id=case_id or f"classical_rmt:{coeff_id}",
-        lhs=_series_lhs(h), rhs=rhs, strip=Strip(0.0, min(1.0, g.delta)),
+        lhs=_lhs(h), rhs=rhs, strip=Strip(0.0, min(1.0, g.delta)),
         tags=("theorem", "classical"), default_tol=tol)
 
 
@@ -258,7 +261,7 @@ def _build_registry() -> dict:
 
     # --- gamma kernel: Bernoulli's representation
     add(IdentityCase(
-        "gamma_bernoulli", _series_lhs(_series_handle("gamma")),
+        "gamma_bernoulli", _lhs(_series_handle("gamma")),
         lambda s: specfun.gamma(s), Strip(0.0, 1.0),
         ("corollary", "integral-representation"),
         note="weight e^{-x}; the classical Euler integral"))
@@ -269,7 +272,7 @@ def _build_registry() -> dict:
     # --- gamma kernel with scaling coefficient a^z
     for a in (0.5, 2.0):
         add(IdentityCase(
-            f"gamma_scaled:{a:g}", _series_lhs(_series_handle("gamma", f"power_a:{a:g}")),
+            f"gamma_scaled:{a:g}", _lhs(_series_handle("gamma", f"power_a:{a:g}")),
             (lambda a_: lambda s: specfun.gamma(s) * a_ ** (-complex(s)))(a),
             Strip(0.0, 1.0), ("corollary", "scaling")))
 
@@ -277,14 +280,14 @@ def _build_registry() -> dict:
     for a in (1.0, 2.0):
         add(IdentityCase(
             f"cos_mellin:{a:g}",
-            _oscillatory_lhs(_series_handle("gamma_cos_half", f"power_a:{a:g}"), PI / a),
+            _lhs(_series_handle("gamma_cos_half", f"power_a:{a:g}"), PI / a),
             (lambda a_: lambda s: a_ ** (-complex(s)) * specfun.gamma(s)
              * specfun._sinpi_complex(0.5 * complex(s) + 0.5))(a),
-            Strip(0.0, 1.0), ("corollary", "oscillatory"), default_tol=1e-6))
+            Strip(0.0, 1.0), ("corollary", "oscillatory")))
 
     # --- squared gamma: harmonic-number weight, K0 closed form
     add(IdentityCase(
-        "gamma_squared_rep", _series_lhs(_series_handle("gamma_squared")),
+        "gamma_squared_rep", _lhs(_series_handle("gamma_squared")),
         lambda s: specfun.gamma(s) ** 2, Strip(0.0, 1.0),
         ("theorem", "higher-order", "integral-representation"),
         note="weight 2 K0(2 sqrt(x))"))
@@ -303,7 +306,7 @@ def _build_registry() -> dict:
 
     # --- derivative kernels, g = 1
     add(IdentityCase(
-        "csc_deriv_rep:1", _series_lhs(_series_handle("pi_csc_deriv:1")),
+        "csc_deriv_rep:1", _lhs(_series_handle("pi_csc_deriv:1")),
         lambda s: specfun.csc_deriv(1, s), Strip(0.0, 1.0),
         ("corollary", "derivative-kernel"),
         note="weight log(x)/(1+x); the rhs vanishes at s = 1/2, so the "
@@ -312,14 +315,14 @@ def _build_registry() -> dict:
 
     for m in (1, 2):
         add(IdentityCase(
-            f"gamma_deriv_rep:{m}", _series_lhs(_series_handle(f"gamma_deriv:{m}")),
+            f"gamma_deriv_rep:{m}", _lhs(_series_handle(f"gamma_deriv:{m}")),
             (lambda m_: lambda s: specfun.gamma_deriv(m_, s))(m),
             Strip(0.0, 1.0), ("corollary", "derivative-kernel"),
             note=f"weight e^-x log^{m}(x)"))
 
     # --- digamma corollary, g = 1: non-integrable across x = 1
     add(IdentityCase(
-        "digamma_corollary", _series_lhs(_series_handle("psi")),
+        "digamma_corollary", _lhs(_series_handle("psi")),
         lambda s: specfun.polygamma(0, s), Strip(0.0, 1.0),
         ("corollary", "expected-failure"),
         expected_status="known-problematic",
@@ -335,7 +338,7 @@ def _build_registry() -> dict:
         return specfun.gamma(z) ** 2 * specfun._sinpi_complex(-z) * specfun.gamma(1.0 - z)
 
     add(IdentityCase(
-        "gamma_sq_sin_gamma", _series_lhs(h_sg), rhs_sg, Strip(0.0, 1.0),
+        "gamma_sq_sin_gamma", _lhs(h_sg), rhs_sg, Strip(0.0, 1.0),
         ("higher-order", "sign-question"),
         expected_status="known-problematic",
         note=("Bernoulli recovery through the squared-gamma kernel; the "
@@ -371,7 +374,7 @@ def _conjecture_case(m: int, coeff_id: str, tol: float = 1e-6) -> IdentityCase:
         return sign * fac * specfun.csc_power(m, complex(s)) * g.eval(-complex(s))
 
     return IdentityCase(
-        id=f"conjecture:m={m}:{coeff_id}", lhs=_series_lhs(h), rhs=rhs,
+        id=f"conjecture:m={m}:{coeff_id}", lhs=_lhs(h), rhs=rhs,
         strip=Strip(0.0, min(1.0, g.delta)), tags=("conjecture",),
         expected_status="conjectural", default_tol=tol)
 
@@ -477,10 +480,7 @@ def integral_representation(kernel_id: str, s, tol: float = 1e-8) -> QuadResult:
 def _representation_run(kernel_id: str, tol: float):
     """s -> ``integral_representation(kernel_id, s, tol)`` over one handle
     and one memoized integrand, for every s of one run."""
-    h, oscillatory, half_period = representation_handle(kernel_id)
-    if oscillatory:
-        return lambda s: mellin_oscillatory(h.closed_form, s, half_period, tol=tol)
-    return _series_run(h, tol)
+    return _run(*representation_handle(kernel_id), tol)
 
 
 def check_representable(kernel_id: str, s) -> None:
@@ -497,13 +497,9 @@ def check_representable(kernel_id: str, s) -> None:
 
 
 def representation_handle(kernel_id: str):
-    """The g = 1 series handle for a kernel plus its quadrature routing.
-
-    Returns (handle, oscillatory_flag, half_period).
-    """
-    h = _series_handle(kernel_id)
-    half_period = _FORMS[kernel_id.split(":", 1)[0]].half_period
-    return h, half_period > 0.0, half_period
+    """(g = 1 series handle, half period) of a kernel's representation; a
+    positive half period routes the transform through the oscillatory rule."""
+    return _series_handle(kernel_id), _FORMS[kernel_id.split(":", 1)[0]].half_period
 
 
 def verify_all(tol_overrides: Optional[dict] = None) -> list:

@@ -296,7 +296,7 @@ _WEIGHT_GRID = tuple(0.01 * 1.35 ** i for i in range(30))  # 0.01 .. ~44
 def check_weight_nonneg(kernel_id: str, samples=None) -> WeightReport:
     """Sample the series weight of the kernel's representation; flags any
     value below -1e-12."""
-    handle, _, _ = harness.representation_handle(kernel_id)
+    handle, _ = harness.representation_handle(kernel_id)
     if samples is None:
         samples = _WEIGHT_GRID
     best, arg = math.inf, float("nan")

@@ -10,10 +10,14 @@ families (trapezoid in a transformed variable, level-halving refinement):
   Handles both exponential decay and integrable power-law tails
   (Re(s) below the decay exponent).
 
-Oscillatory integrands (asymptotically periodic sign changes) go through
-``mellin_oscillatory``: plain quadrature on a warm-up region, then exact
-integration between consecutive zeros and iterated Aitken extrapolation of
-the alternating partial sums.
+Oscillatory integrands, cos(omega x) times a slowly varying factor, go
+through ``mellin_oscillatory``, the DE rule for Fourier-type integrals
+(Ooura & Mori, J. Comput. Appl. Math. 38, 1991): with M = pi/h, nodes
+x = (M/omega) phi(t) at t = (k - 1/2) h and weights (M/omega) phi'(t), where
+phi(t) = t / (1 - exp(-2t - alpha (1 - e^-t) - beta (e^t - 1))), beta = 1/4,
+alpha = beta / sqrt(1 + M log(1 + M) / (4 pi)). The nodes approach 0, and
+the zeros (k - 1/2) pi/omega of cos(omega x), double exponentially, so the
+trapezoid sums converge without extrapolation.
 
 Complex s is supported by evaluating x^{s-1} = exp((s-1) log x) on real
 nodes; the quadrature weights stay real.
@@ -24,7 +28,9 @@ multiples of h = 2^-k up to |t| <= 6.9. ``_node_table`` tabulates, per
 piece and level, (x, log x, w, log w) of the nodes that level adds, from
 the scalar maps ``_lower_node``/``_upper_node`` (so bit for bit the same
 abscissae), less the nodes past overflow (u > 700), of zero weight or at
-x <= 0. A table is built on first use and kept for the process.
+x <= 0. ``_oscillatory_table`` tabulates every node of the oscillatory
+rule per omega and level (its levels are not nested: M changes with h).
+A table is built on first use and kept for the process.
 
 Level sums. For one s and one level, Re((s-1) log x) + log w is one array
 operation over the table. Nodes where it is below -800 are skipped without
@@ -37,7 +43,8 @@ it. The terms w exp((s-1) log x) f(x) are formed as arrays; where
 in log space instead (a contribution that overflows raises
 ConvergenceError: the transform diverges at this s). The terms at t and
 -t are added first and the pair sums then one after another, the order of
-a scalar trapezoid loop.
+a scalar trapezoid loop; the oscillatory rule adds its terms in order of
+increasing x.
 
 Stopping rule. A piece accepts level k only when h <= 1/4 and DE
 convergence is confirmed: the level-to-level difference d_k is at most
@@ -68,10 +75,11 @@ sums, underflow skips, evaluation budget and errors.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -90,6 +98,10 @@ _SKIP_FLOOR = 1e-12   # weight floor under which failing nodes are dropped
 _LOG_SKIP_FLOOR = math.log(_SKIP_FLOOR)
 _EPS = sys.float_info.epsilon
 _ROUNDING_C = 16.0    # rounding floor of err_abs, in eps * h * sum |terms|
+_BETA = 0.25          # Ooura-Mori map: phi(t) - t ~ exp(-beta e^t) as t -> oo
+_STALL = 0.5          # see ``mellin_oscillatory``
+_STALL_LEVEL = 4
+_SEAM_TOL_FACTOR = 10.0  # series and closed form may differ by this * tol
 
 
 @dataclass(frozen=True)
@@ -230,7 +242,8 @@ class _NodeLevel:
         self.xs = self.x.tolist()
 
 
-#: node tables, built on first use and kept for the process
+#: node tables, built on first use and kept for the process: keyed by
+#: (node map, level) for the DE pieces, (omega, level) for the oscillatory rule
 _TABLES: dict = {}
 
 
@@ -463,93 +476,83 @@ def _scaled_lower_transform(f, s, x_cut: float, budget: _EvalBudget, tol: float)
     return scale * piece.val, abs(scale) * piece.err()
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+def _oscillatory_table(omega: float, level: int) -> _NodeLevel:
+    """The oscillatory rule's nodes at h = 2^-level: t = (k - 1/2) h from
+    where x underflows up to the last node that x = (M/omega) phi(t) does
+    not place on a zero of cos(omega x) in double precision (past it a node
+    adds only rounding noise), each a pair of its own."""
+    table = _TABLES.get((omega, level))
+    if table is None:
+        h = 0.5 ** level
+        m = math.pi / h
+        alpha = _BETA / math.sqrt(1.0 + m * math.log1p(m) / (4.0 * math.pi))
+        # E(t) ~ -alpha e^-t as t -> -oo: x underflows before t = -log(800/alpha)
+        t = (np.arange(math.floor(-math.log(800.0 / alpha) / h), 6.0 / h) + 0.5) * h
+        e = 2.0 * t - alpha * np.expm1(-t) + _BETA * np.expm1(t)
+        de = 2.0 + alpha * np.exp(-t) + _BETA * np.exp(t)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            d = -np.expm1(-e)      # phi(t) = t / d
+            r = np.exp(-e) / d     # (phi(t) - t) / t
+            x = m / omega * t / d
+            w = m / omega * (1.0 - de * t * r) / d
+            keep = (x > 0.0) & (w > 0.0) & (np.abs(r) >= _EPS)
+        x, w = x[keep], w[keep]
+        table = _TABLES[(omega, level)] = _NodeLevel(
+            list(zip(x, np.log(x), w, np.log(w), range(x.size))), x.size)
+    return table
 
 
-def _aitken_last(seq):
-    """Iterated Aitken delta-squared; returns (estimate, last correction)."""
-    s = list(seq)
-    prev_last = s[-1]
-    while len(s) >= 3:
-        nxt = []
-        for i in range(len(s) - 2):
-            d2 = s[i + 2] - 2.0 * s[i + 1] + s[i]
-            if d2 == 0:
-                nxt.append(s[i + 2])
-            else:
-                nxt.append(s[i] - (s[i + 1] - s[i]) ** 2 / d2)
-        prev_last = s[-1]
-        s = nxt
-    return s[-1], abs(s[-1] - prev_last)
+class _OscillatoryPiece(_Piece):
+    """Oscillatory DE sums for one s; ``node_fn`` maps a level to its node
+    table. The levels are not nested: each is a complete sum, and
+    ``abs_sum`` is the last level's."""
+
+    __slots__ = ()
+
+    def refine(self):
+        self.level += 1
+        self.h *= 0.5
+        add, self.abs_sum = self._level_sum(self.node_fn(self.level))
+        val = add * self.h
+        self.diffs.append(abs(val - self.val) if self.level else abs(val))
+        self.val = val
 
 
 def mellin_oscillatory(f: Callable[[float], float], s, half_period: float,
-                       tol: float = 1e-8, first_zero: Optional[float] = None,
-                       max_intervals: int = 64,
-                       max_evals: int = MAX_EVALS) -> QuadResult:
-    """Mellin transform of an asymptotically sign-alternating integrand.
+                       tol: float = 1e-8, max_evals: int = MAX_EVALS) -> QuadResult:
+    """Mellin transform of an integrand that oscillates like cos(omega x),
+    omega = pi / half_period, times a slowly varying factor.
 
-    ``half_period`` is the asymptotic distance between consecutive zeros of
-    ``f``; ``first_zero`` defaults to half of it. The warm-up region up to
-    the first zero is integrated by the regular DE rule; past it the
-    integral between consecutive zeros forms an alternating sequence of
-    partial sums, extrapolated by iterated Aitken.
+    Levels h = 1, 1/2, ... of the oscillatory DE rule (module docstring) are
+    refined until the ``_Piece.accepts`` rule holds or the difference
+    reaches the rounding floor; err_abs = max(difference, floor). From level
+    ``_STALL_LEVEL`` on (coarser levels may not resolve the oscillation yet),
+    two differences in a row above ``_STALL`` times the one before, or
+    ``_MAX_LEVEL``, raise AccelerationFailureError: the integrand does not
+    oscillate as declared, or Re(s) < ~0.03 puts part of the integral below
+    the smallest double.
     """
     if half_period <= 0.0:
         raise ValueError(f"half period must be positive, got {half_period}")
-    if first_zero is None:
-        first_zero = 0.5 * half_period
-    budget = _EvalBudget(max_evals)
-    sm1 = s - 1.0
-    complex_s = isinstance(s, complex)
-
-    def integrand(x):
-        budget.spend()
-        if complex_s:
-            return cmath.exp(sm1 * math.log(x)) * f(x)
-        return math.exp(sm1 * math.log(x)) * f(x)
-
-    def gl_piece(a, b):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        acc = 0.0
-        for xi, wi in zip(_GL_NODES, _GL_WEIGHTS):
-            acc += wi * integrand(mid + half * xi)
-        return half * acc
-
-    with budget:
-        warm_val, warm_err = _scaled_lower_transform(f, s, first_zero, budget,
-                                                     0.1 * tol)
-        partials = [warm_val]
-        pieces = []
-        acc = warm_val
-        prev_zero = first_zero
-        value, corr = warm_val, abs(warm_val)
-        for j in range(1, max_intervals + 1):
-            z = first_zero + j * half_period
-            piece = gl_piece(prev_zero, z)
-            pieces.append(piece)
-            acc = acc + piece
-            partials.append(acc)
-            prev_zero = z
-            if len(pieces) >= 6 and not complex_s:
-                # alternation must have set in past the warm-up
-                signs = [math.copysign(1.0, p) for p in pieces[-6:] if p != 0.0]
-                if any(signs[i] == signs[i + 1] for i in range(len(signs) - 1)):
-                    raise AccelerationFailureError(
-                        "partial sums stopped alternating; the integrand does "
-                        "not match the declared oscillation structure")
-            if len(partials) >= 8:
-                window = partials[-24:] if len(partials) >= 24 else partials
-                value, corr = _aitken_last(window)
-                if corr <= tol * max(abs(value), 1e-300):
-                    break
-    total_err = warm_err + corr
-    converged = total_err <= 10.0 * tol * max(abs(value), 1e-300)
-    return QuadResult(value, total_err, budget.used, converged)
+    with _EvalBudget(max_evals) as budget:
+        table = functools.partial(_oscillatory_table, math.pi / half_period)
+        piece = _OscillatoryPiece(table, f, s, budget)
+        while True:
+            piece.refine()
+            d = piece.diffs
+            if piece.accepts(tol, max(abs(piece.val), 1e-300)) or d[-1] <= piece.rounding():
+                break
+            stalled = (piece.level >= _STALL_LEVEL and d[-1] > _STALL * d[-2]
+                       and d[-2] > _STALL * d[-3])
+            if stalled or piece.level == _MAX_LEVEL:
+                raise AccelerationFailureError(
+                    "oscillatory sums do not converge double exponentially (last "
+                    f"level differences {d[-2]:.3e}, then {d[-1]:.3e})")
+    err = piece.err()
+    return QuadResult(piece.val, err, budget.used, err <= tol * max(abs(piece.val), 1e-300))
 
 
-def _seam_guard(h: "series_mod.SeriesHandle", tol: float,
-                seam_tol_factor: float = 10.0) -> Callable[[], None]:
+def _seam_guard(h: "series_mod.SeriesHandle", tol: float) -> Callable[[], None]:
     """A check that the series and the closed form of ``h`` agree at the
     switch-over point, computed on its first call and replayed on every
     later one; a no-op unless ``h`` has both a radius and a closed form."""
@@ -560,7 +563,7 @@ def _seam_guard(h: "series_mod.SeriesHandle", tol: float,
 
     def guard():
         x_seam, mismatch = seam(eval_tol)
-        if mismatch > seam_tol_factor * tol:
+        if mismatch > _SEAM_TOL_FACTOR * tol:
             raise SeamMismatchError(
                 f"series and closed form disagree by {mismatch:.3e} at the "
                 f"switch-over point x={x_seam:.6g}")
@@ -569,12 +572,11 @@ def _seam_guard(h: "series_mod.SeriesHandle", tol: float,
 
 
 def _series_run(h: "series_mod.SeriesHandle", tol: float,
-                max_evals: int = MAX_EVALS,
-                seam_tol_factor: float = 10.0) -> Callable[..., QuadResult]:
+                max_evals: int = MAX_EVALS) -> Callable[..., QuadResult]:
     """s -> ``mellin_on_series(h, s, ...)`` for every s of one run, with
     the seam check and each integrand value computed once per run."""
     eval_tol = min(1e-2 * tol, series_mod.DEFAULT_TOL)
-    guard = _seam_guard(h, tol, seam_tol_factor)
+    guard = _seam_guard(h, tol)
     f = _memoized(lambda x: series_mod.eval_series(h, x, tol=eval_tol))
 
     def run(s) -> QuadResult:
@@ -585,8 +587,7 @@ def _series_run(h: "series_mod.SeriesHandle", tol: float,
 
 
 def mellin_on_series(h: "series_mod.SeriesHandle", s, tol: float = 1e-10,
-                     max_evals: int = MAX_EVALS,
-                     seam_tol_factor: float = 10.0) -> QuadResult:
+                     max_evals: int = MAX_EVALS) -> QuadResult:
     """Transform of the integrand synthesized from a series handle.
 
     f is evaluated through the truncated series inside the convergence
@@ -594,4 +595,4 @@ def mellin_on_series(h: "series_mod.SeriesHandle", s, tol: float = 1e-10,
     switch-over point is checked first. This is the one-s case of
     ``_series_run``.
     """
-    return _series_run(h, tol, max_evals, seam_tol_factor)(s)
+    return _series_run(h, tol, max_evals)(s)

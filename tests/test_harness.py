@@ -1,5 +1,6 @@
 """Tests for the identity registry and verification drivers."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -152,6 +153,24 @@ class TestSharedIntegrand:
         assert xs[n_first:] == xs[:n_first]
         assert _fingerprint(first.samples) == _fingerprint(second.samples)
 
+    def test_each_oscillatory_node_is_evaluated_once_per_verify(self, monkeypatch):
+        xs = []
+
+        def counted_cos(m):
+            def f(x):
+                xs.append(x)
+                return math.cos(x)
+            return f
+
+        monkeypatch.setitem(harness._FORMS, "gamma_cos_half", dataclasses.replace(
+            harness._FORMS["gamma_cos_half"], one=counted_cos))
+        monkeypatch.setattr(harness, "_REGISTRY", None)
+        rep = harness.verify("cos_mellin:1", s_grid=[0.3, 0.5, 0.7])
+        assert rep.passed
+        assert xs and len(xs) == len(set(xs))
+        # every s requested the nodes the others had evaluated
+        assert sum(r.n_evals for r in rep.samples) > len(xs)
+
     def test_failed_sample_reports_its_evaluations(self):
         rep = harness.verify("digamma_corollary", s_grid=[0.5])
         (smp,) = rep.samples
@@ -190,6 +209,21 @@ class TestIndependentOracle:
         want = _oracle(cid, s)
         assert rep.passed and smp.converged and smp.error is None
         assert abs(smp.lhs - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("a,off_axis", [(1, 0.3 - 0.4j), (2, 0.8 + 0.35j)])
+    def test_cosine_transform_matches_mpmath(self, a, off_axis):
+        cid = f"cos_mellin:{a}"
+        rep = harness.verify(cid)
+        assert rep.passed and rep.tolerance == 1e-8 and rep.max_rel_err <= 1e-11
+        grid = [smp.s for smp in rep.samples] + [0.05, 0.95, off_axis]
+        rep = harness.verify(cid, s_grid=grid)
+        assert rep.passed
+        for smp in rep.samples:
+            with mpmath.workdps(30):
+                t = mpmath.mpc(smp.s.real, smp.s.imag)
+                want = complex(mpmath.mpf(a) ** (-t) * mpmath.gamma(t)
+                               * mpmath.cos(mpmath.pi * t / 2))
+            assert abs(smp.lhs - want) <= 1e-10 * abs(want), smp.s
 
 
 class TestConjecture:
@@ -244,6 +278,20 @@ class TestConjecture:
             with mpmath.workdps(30):
                 t = mpmath.mpc(smp.s.real, smp.s.imag)
                 want = complex(-6 * (mpmath.pi / mpmath.sin(mpmath.pi * t)) ** 4)
+            assert abs(smp.lhs - want) <= 1e-12 * abs(want), smp.s
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_power_coefficient_takes_its_radius_from_growth_data(self, m):
+        # g = 2^z: the series converges only for x < 1/2, not on the
+        # table's x < 1, so the seam lies inside the radius
+        rep = harness.verify_conjecture(m, "power_a:2")
+        assert rep.passed and rep.max_rel_err <= 1e-12
+        for smp in rep.samples:
+            with mpmath.workdps(30):
+                t = mpmath.mpc(smp.s.real, smp.s.imag)
+                want = complex((-1) ** (m - 1) * mpmath.factorial(m - 1)
+                               * (mpmath.pi / mpmath.sin(mpmath.pi * t)) ** m
+                               * mpmath.mpf(2) ** (-t))
             assert abs(smp.lhs - want) <= 1e-12 * abs(want), smp.s
 
     def test_scaled_coefficient_uses_the_scaled_g1_form(self):
