@@ -4,8 +4,8 @@ Subcommands:
 
     verify       one identity over an s grid
     verify-all   every registered identity on default grids
-    mellin       ad-hoc transform of a registered identity LHS or a
-                 kernel/coefficient pair
+    mellin       ad-hoc transform of a registered identity LHS or of a
+                 kernel/coefficient pair, closed forms from the registry
     interp       sequence interpolation from CSV/JSON input
     props        inequality property checks of a kernel representation
     conjecture   cosecant-power conjecture run
@@ -26,10 +26,13 @@ import cmath
 import math
 import sys
 
-from . import catalog, harness, interp, series
+from . import harness, interp
 from .errors import (ConvergenceError, MellinkitError, StripViolationError,
                      UnknownIdError)
-from .mellin import mellin_on_series, mellin_oscillatory
+from .mellin import MAX_EVALS, mellin_on_series
+# kept as cli.mellin_oscillatory: perfbench/test_perfbench.py checks that
+# the benchmark's tracer restores this binding
+from .mellin import mellin_oscillatory  # noqa: F401
 
 SCHEMA_VERSION = "1"
 
@@ -267,30 +270,21 @@ def _cmd_verify_all(args) -> int:
 
 
 def _mellin_runner(args, tol, grid):
-    """(label, s -> QuadResult) for the three addressing modes. With
-    --kernel alone, every s of ``grid`` is checked against the strip of
-    the kernel's representation first."""
-    budget = args.max_evals
-    kwargs = {"tol": tol}
-    if budget is not None:
-        if budget < 1:
-            raise ValueError(f"--max-evals must be at least 1, got {budget}")
-        kwargs["max_evals"] = budget
+    """(label, s -> QuadResult) for an identity's lhs or for the series of
+    a kernel and a coefficient (default g = 1). With --kernel alone, every
+    s of ``grid`` is checked against the strip of the kernel's
+    representation first."""
+    max_evals = MAX_EVALS if args.max_evals is None else args.max_evals
+    if max_evals < 1:
+        raise ValueError(f"--max-evals must be at least 1, got {max_evals}")
     if args.identity:
-        case = harness.get_case(args.identity)
-        return f"mellin:{args.identity}", case.lhs(tol)
-    if args.coeff:
-        h = series.handle(catalog.kernel(args.kernel),
-                          catalog.coefficient(args.coeff))
-        return (f"mellin:{args.kernel}:{args.coeff}",
-                lambda s: mellin_on_series(h, s, **kwargs))
-    h, half_period = harness.representation_handle(args.kernel)
-    for s in grid:
-        harness.check_representable(args.kernel, s)
-    if half_period > 0.0:
-        return (f"mellin:{args.kernel}",
-                lambda s: mellin_oscillatory(h.closed_form, s, half_period, **kwargs))
-    return f"mellin:{args.kernel}", lambda s: mellin_on_series(h, s, **kwargs)
+        return f"mellin:{args.identity}", harness.get_case(args.identity).lhs(tol, max_evals)
+    h = harness.representation_handle(args.kernel, args.coeff or "const_one")
+    if not args.coeff:
+        for s in grid:
+            harness.check_representable(args.kernel, s)
+    label = f"mellin:{args.kernel}" + (f":{args.coeff}" if args.coeff else "")
+    return label, lambda s: mellin_on_series(h, s, tol, max_evals)
 
 
 def _cmd_mellin(args) -> int:

@@ -19,13 +19,16 @@ representation, the closed form of its g = 1 series for each kernel
 parameter m, its series mode, and the closed forms for the few
 coefficients g outside {1, a^z}. A coefficient g = a^z needs no entry:
 g(-z) x^{-z} = (a x)^{-z}, so its series is the g = 1 series at a x. Every
-identity's series handle (``_series_handle``) and every g = 1
-representation (``representation_handle``, ``check_representable``) is
-derived from that table.
+series handle, of an identity, of a g = 1 representation or of an ad-hoc
+(kernel, coefficient) pair, comes from ``representation_handle``, and
+``check_representable`` reads the same table. A handle whose closed form
+oscillates carries its half period, which selects the oscillatory rule in
+``mellin._series_run``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -33,11 +36,8 @@ from typing import Callable, Optional
 from . import catalog, series, specfun
 from .errors import MellinkitError, StripViolationError, UnknownIdError
 from .jets import pm_polynomial
-from .mellin import (QuadResult, Strip, _memoized, _seam_guard, _series_run,
-                     mellin_oscillatory, mellin_transform)
-# kept as harness.mellin_on_series: perfbench/test_perfbench.py checks that
-# the benchmark's tracer restores this binding
-from .mellin import mellin_on_series  # noqa: F401
+from .mellin import (MAX_EVALS, QuadResult, Strip, _memoized, _series_run,
+                     mellin_on_series, mellin_transform)
 
 PI = math.pi
 
@@ -78,7 +78,7 @@ class IdentityReport:
 @dataclass(frozen=True)
 class IdentityCase:
     id: str
-    lhs: Callable  # tol -> (s -> QuadResult), one run per verify call
+    lhs: Callable  # (tol, max_evals) -> (s -> QuadResult), one run per verify call
     rhs: Callable  # s -> complex
     strip: Strip
     tags: tuple
@@ -142,8 +142,8 @@ class _Forms:
     one: Callable           # m -> closed form of the g = 1 series
     by_coeff: dict = field(default_factory=dict)  # (m, coeff id) -> closed form
     mode: str = "residue"
-    radius: Optional[float] = None  # None: from the coefficient's growth data
-    half_period: float = 0.0        # > 0: the oscillatory rule, at g = 1
+    radius: Optional[float] = None  # used where the coefficient has no growth data
+    half_period: float = 0.0        # > 0: the g = 1 form oscillates (oscillatory rule)
 
 
 #: m is the kernel's parameter (0 for kernels without one). psi has no
@@ -156,11 +156,11 @@ _FORMS = {
     "gamma_squared": _Forms(
         (0.0, math.inf),
         lambda m: lambda x: 2.0 * specfun.bessel_k0(2.0 * math.sqrt(x)),
-        {(0, "sin_gamma"): lambda x: -PI * math.exp(-x)}),
+        {(0, "sin_gamma"): lambda x: -PI * math.exp(-x)}, radius=1.0),
     "gamma_cos_half": _Forms((0.0, 1.0), lambda m: math.cos, half_period=PI),
     "pi_csc": _Forms((0.0, 1.0), lambda m: lambda x: 1.0 / (1.0 + x),
                      {(0, "inv_gamma"): lambda x: math.exp(-x),
-                      (0, "inv_linear"): lambda x: math.log1p(x) / x}),
+                      (0, "inv_linear"): lambda x: math.log1p(x) / x}, radius=1.0),
     "pi_csc_deriv": _Forms((0.0, 1.0),
                            lambda m: lambda x: math.log(x) ** m / (1.0 + x)),
     "pi_csc_pow": _Forms((0.0, 1.0), _csc_power_weight,
@@ -173,20 +173,21 @@ _FORMS = {
 
 
 def _closed_form(forms: _Forms, m: int, coeff_id: str):
+    """(closed form, half period) of the series of one coefficient."""
     if coeff_id == "const_one":
-        return forms.one(m)
+        return forms.one(m), forms.half_period
     if coeff_id.startswith("power_a:"):
         # g(-z) x^{-z} = (a x)^{-z}: every summand is the g = 1 one at a x
         a = float(coeff_id.split(":", 1)[1])
         f = forms.one(m)
-        return lambda x: f(a * x)
-    return forms.by_coeff.get((m, coeff_id))
+        return (lambda x: f(a * x)), forms.half_period / a
+    return forms.by_coeff.get((m, coeff_id)), 0.0
 
 
-def _series_handle(kernel_id: str, coeff_id: str = "const_one",
-                   radius_hint: Optional[float] = None) -> series.SeriesHandle:
+def representation_handle(kernel_id: str, coeff_id: str = "const_one") -> series.SeriesHandle:
     """The integrand series of a kernel and a coefficient, with the closed
-    form the table gives for it (None where it has none)."""
+    form the table gives for it (None where it has none) and, where that
+    form oscillates, its half period."""
     name, _, param = kernel_id.partition(":")
     forms = _FORMS.get(name)
     if forms is None:
@@ -194,32 +195,16 @@ def _series_handle(kernel_id: str, coeff_id: str = "const_one",
     kern = catalog.kernel(kernel_id)  # rejects a missing or malformed parameter
     coeff = catalog.coefficient(coeff_id)
     m = int(param) if param else 0
-    if radius_hint is None:  # the table's radius only without growth data
-        radius_hint = series.theorem_radius(coeff) or forms.radius
+    closed_form, half_period = _closed_form(forms, m, coeff_id)
     return series.handle(
         kern, coeff, mode=forms.mode, m=m if forms.mode == "conjecture" else 0,
-        radius_hint=radius_hint, closed_form=_closed_form(forms, m, coeff_id))
+        radius_hint=series.theorem_radius(coeff) or forms.radius,
+        closed_form=closed_form, half_period=half_period)
 
 
-# ---------------------------------------------------------------------------
-# lhs builders
-
-def _run(handle: series.SeriesHandle, half_period: float, tol: float):
-    """s -> QuadResult for every s of one run on ``handle``, seam check and
-    integrand memoized; a positive half period selects the oscillatory rule."""
-    if half_period <= 0.0:
-        return _series_run(handle, tol)
-    guard = _seam_guard(handle, tol)
-    f = _memoized(handle.closed_form)
-
-    def run(s):
-        guard()
-        return mellin_oscillatory(f, s, half_period, tol=tol)
-    return run
-
-
-def _lhs(handle: series.SeriesHandle, half_period: float = 0.0):
-    return lambda tol: _run(handle, half_period, tol)
+def _lhs(h: series.SeriesHandle):
+    """(tol, max_evals) -> ``_series_run(h, tol, max_evals)``."""
+    return functools.partial(_series_run, h)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +217,7 @@ def _classical_rmt_case(coeff_id: str, tol: float = 1e-8,
     Also the m = 1 reduction target of the conjecture runner: both paths
     construct their samples through this function.
     """
-    h = _series_handle("pi_csc", coeff_id)
+    h = representation_handle("pi_csc", coeff_id)
     g = h.coeff
 
     def rhs(s):
@@ -261,7 +246,7 @@ def _build_registry() -> dict:
 
     # --- gamma kernel: Bernoulli's representation
     add(IdentityCase(
-        "gamma_bernoulli", _lhs(_series_handle("gamma")),
+        "gamma_bernoulli", _lhs(representation_handle("gamma")),
         lambda s: specfun.gamma(s), Strip(0.0, 1.0),
         ("corollary", "integral-representation"),
         note="weight e^{-x}; the classical Euler integral"))
@@ -272,7 +257,7 @@ def _build_registry() -> dict:
     # --- gamma kernel with scaling coefficient a^z
     for a in (0.5, 2.0):
         add(IdentityCase(
-            f"gamma_scaled:{a:g}", _lhs(_series_handle("gamma", f"power_a:{a:g}")),
+            f"gamma_scaled:{a:g}", _lhs(representation_handle("gamma", f"power_a:{a:g}")),
             (lambda a_: lambda s: specfun.gamma(s) * a_ ** (-complex(s)))(a),
             Strip(0.0, 1.0), ("corollary", "scaling")))
 
@@ -280,23 +265,23 @@ def _build_registry() -> dict:
     for a in (1.0, 2.0):
         add(IdentityCase(
             f"cos_mellin:{a:g}",
-            _lhs(_series_handle("gamma_cos_half", f"power_a:{a:g}"), PI / a),
+            _lhs(representation_handle("gamma_cos_half", f"power_a:{a:g}")),
             (lambda a_: lambda s: a_ ** (-complex(s)) * specfun.gamma(s)
              * specfun._sinpi_complex(0.5 * complex(s) + 0.5))(a),
             Strip(0.0, 1.0), ("corollary", "oscillatory")))
 
     # --- squared gamma: harmonic-number weight, K0 closed form
     add(IdentityCase(
-        "gamma_squared_rep", _lhs(_series_handle("gamma_squared")),
+        "gamma_squared_rep", _lhs(representation_handle("gamma_squared")),
         lambda s: specfun.gamma(s) ** 2, Strip(0.0, 1.0),
         ("theorem", "higher-order", "integral-representation"),
         note="weight 2 K0(2 sqrt(x))"))
 
     # --- K0 integral: int K0(2 sqrt x)/sqrt x dx = pi/2 at s = 1
-    def k0_lhs(tol):
+    def k0_lhs(tol, max_evals=MAX_EVALS):
         # x^{s-1} K0(2 sqrt x)/sqrt x integrates as the shifted transform
         f = _memoized(lambda x: specfun.bessel_k0(2.0 * math.sqrt(x)))
-        return lambda s: mellin_transform(f, s - 0.5, tol=tol)
+        return lambda s: mellin_transform(f, s - 0.5, tol=tol, max_evals=max_evals)
 
     add(IdentityCase(
         "k0_pi", k0_lhs,
@@ -306,7 +291,7 @@ def _build_registry() -> dict:
 
     # --- derivative kernels, g = 1
     add(IdentityCase(
-        "csc_deriv_rep:1", _lhs(_series_handle("pi_csc_deriv:1")),
+        "csc_deriv_rep:1", _lhs(representation_handle("pi_csc_deriv:1")),
         lambda s: specfun.csc_deriv(1, s), Strip(0.0, 1.0),
         ("corollary", "derivative-kernel"),
         note="weight log(x)/(1+x); the rhs vanishes at s = 1/2, so the "
@@ -315,14 +300,14 @@ def _build_registry() -> dict:
 
     for m in (1, 2):
         add(IdentityCase(
-            f"gamma_deriv_rep:{m}", _lhs(_series_handle(f"gamma_deriv:{m}")),
+            f"gamma_deriv_rep:{m}", _lhs(representation_handle(f"gamma_deriv:{m}")),
             (lambda m_: lambda s: specfun.gamma_deriv(m_, s))(m),
             Strip(0.0, 1.0), ("corollary", "derivative-kernel"),
             note=f"weight e^-x log^{m}(x)"))
 
     # --- digamma corollary, g = 1: non-integrable across x = 1
     add(IdentityCase(
-        "digamma_corollary", _lhs(_series_handle("psi")),
+        "digamma_corollary", _lhs(representation_handle("psi")),
         lambda s: specfun.polygamma(0, s), Strip(0.0, 1.0),
         ("corollary", "expected-failure"),
         expected_status="known-problematic",
@@ -331,7 +316,7 @@ def _build_registry() -> dict:
               "diagnostic, not a value")))
 
     # --- squared gamma with g = sin(pi z) Gamma(z+1): the sign question
-    h_sg = _series_handle("gamma_squared", "sin_gamma", radius_hint=1.0)
+    h_sg = representation_handle("gamma_squared", "sin_gamma")
 
     def rhs_sg(s):
         z = complex(s)
@@ -365,7 +350,7 @@ def _conjecture_case(m: int, coeff_id: str, tol: float = 1e-6) -> IdentityCase:
     if m == 1:
         return _classical_rmt_case(coeff_id, tol,
                                    case_id=f"conjecture:m=1:{coeff_id}")
-    h = _series_handle(f"pi_csc_pow:{m}", coeff_id)
+    h = representation_handle(f"pi_csc_pow:{m}", coeff_id)
     g = h.coeff
     sign = 1.0 if (m - 1) % 2 == 0 else -1.0
     fac = math.factorial(m - 1)
@@ -474,13 +459,7 @@ def verify_conjecture(m: int, coeff_id: str, s_grid=None,
 def integral_representation(kernel_id: str, s, tol: float = 1e-8) -> QuadResult:
     """Mellin transform of the g = 1 series of a registered kernel; equals
     kernel.eval(s) within tol wherever the representation holds."""
-    return _representation_run(kernel_id, tol)(s)
-
-
-def _representation_run(kernel_id: str, tol: float):
-    """s -> ``integral_representation(kernel_id, s, tol)`` over one handle
-    and one memoized integrand, for every s of one run."""
-    return _run(*representation_handle(kernel_id), tol)
+    return mellin_on_series(representation_handle(kernel_id), s, tol)
 
 
 def check_representable(kernel_id: str, s) -> None:
@@ -494,12 +473,6 @@ def check_representable(kernel_id: str, s) -> None:
         raise StripViolationError(
             f"{kernel_id} representation converges on ({lo}, {hi}); "
             f"requested h({s})")
-
-
-def representation_handle(kernel_id: str):
-    """(g = 1 series handle, half period) of a kernel's representation; a
-    positive half period routes the transform through the oscillatory rule."""
-    return _series_handle(kernel_id), _FORMS[kernel_id.split(":", 1)[0]].half_period
 
 
 def verify_all(tol_overrides: Optional[dict] = None) -> list:

@@ -32,8 +32,8 @@ import numpy as np
 from . import catalog, harness, series, specfun
 from .errors import (KernelZeroError, StripViolationError,
                      TailCertificationError, UnknownIdError)
-from .mellin import (MAX_EVALS, QuadResult, _EvalBudget,
-                     _scaled_lower_transform, mellin_transform)
+from .mellin import (MAX_EVALS, _EvalBudget, _scaled_lower_transform,
+                     _series_run, mellin_transform)
 
 NORMALIZATIONS = ("raw", "factorial")
 
@@ -145,7 +145,7 @@ def _fit_growth(seq: SequenceData) -> tuple[float, float]:
     return math.exp(intercept + margin), math.exp(slope)
 
 
-def _certified_cut(seq: SequenceData, sigma: float, tol: float) -> tuple[float, float]:
+def _certified_cut(seq: SequenceData, sigma: float, tol: float) -> float:
     """Largest integration cut X such that both the series truncation error
     on (0, X] and the neglected integral tail beyond X stay under tol/2.
 
@@ -179,11 +179,12 @@ def _certified_cut(seq: SequenceData, sigma: float, tol: float) -> tuple[float, 
         raise TailCertificationError(
             f"truncated series is not reliable out to the integration cut "
             f"x={x:.3g}: need more coefficients or a closed form")
-    return x, tol
+    return x
 
 
 def _sequence_integrand(seq: SequenceData, tol_abs: float, sigma: float):
-    """(f, x_cut, extra_err): evaluation strategy for M[f](s)."""
+    """(f, x_cut): evaluation strategy for M[f](s); x_cut None means the
+    whole half-line."""
     if seq.closed_form is not None:
         # sanity: the closed form must reproduce the series where the
         # truncation is certainly negligible
@@ -199,13 +200,12 @@ def _sequence_integrand(seq: SequenceData, tol_abs: float, sigma: float):
                 raise TailCertificationError(
                     f"closed form disagrees with the declared series at "
                     f"x={x_probe} ({probe!r} vs partial sum {head!r})")
-        return seq.closed_form, None, 0.0
+        return seq.closed_form, None
     if seq.normalization != "factorial":
         raise TailCertificationError(
             "raw-normalized sequences need a closed form: the truncated "
             "power series cannot certify tail decay over (0, infinity)")
-    x_cut, bound = _certified_cut(seq, sigma, tol_abs)
-    return (lambda x: seq.head(x)), x_cut, bound
+    return (lambda x: seq.head(x)), _certified_cut(seq, sigma, tol_abs)
 
 
 def interpolate(seq: SequenceData, kernel_id: str, s, tol: float = 1e-8):
@@ -220,15 +220,12 @@ def interpolate(seq: SequenceData, kernel_id: str, s, tol: float = 1e-8):
         raise KernelZeroError(
             f"kernel {kernel_id} is numerically zero at s={s}; the quotient "
             f"is not defined there")
-    f, x_cut, extra_err = _sequence_integrand(seq, tol, sigma)
+    f, x_cut = _sequence_integrand(seq, tol, sigma)
     if x_cut is None:
-        q = mellin_transform(f, s, tol=tol)
+        val = mellin_transform(f, s, tol=tol).value
     else:
-        budget = _EvalBudget(MAX_EVALS)
-        val, err = _scaled_lower_transform(f, s, x_cut, budget, tol)
-        q = QuadResult(val, err + extra_err, budget.used,
-                       err + extra_err <= tol * max(abs(val), 1e-300))
-    return q.value / h_val
+        val, _ = _scaled_lower_transform(f, s, x_cut, _EvalBudget(MAX_EVALS), tol)
+    return val / h_val
 
 
 def interpolate_extended(seq: SequenceData, kernel_id: str, extension: int, s,
@@ -296,7 +293,7 @@ _WEIGHT_GRID = tuple(0.01 * 1.35 ** i for i in range(30))  # 0.01 .. ~44
 def check_weight_nonneg(kernel_id: str, samples=None) -> WeightReport:
     """Sample the series weight of the kernel's representation; flags any
     value below -1e-12."""
-    handle, _ = harness.representation_handle(kernel_id)
+    handle = harness.representation_handle(kernel_id)
     if samples is None:
         samples = _WEIGHT_GRID
     best, arg = math.inf, float("nan")
@@ -323,7 +320,7 @@ def _strip_unit(kernel_id: str):
 def _represented_h(kernel_id: str, quad_tol: float):
     """h through the kernel's integral representation, one run per check;
     the caller has checked the points against the strip (``_strip_unit``)."""
-    run = harness._representation_run(kernel_id, quad_tol)
+    run = _series_run(harness.representation_handle(kernel_id), quad_tol)
     cache: dict = {}
 
     def h_eval(t: float) -> float:

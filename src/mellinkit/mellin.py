@@ -60,12 +60,14 @@ the last difference, floored by the rounding error of the trapezoid sum,
 which the difference alone underestimates once the doubly exponential
 convergence has set in.
 
-Shared integrand. A run over many s on one integrand (one
-``harness.verify`` call, or one property check; see ``_series_run``)
-computes f once per node and shares the value across its s: ``_memoized``
-maps each node x to f(x), or to the exception f raised there, which it
-raises afresh (same class, same message, a new object) on every later
-request. The memo belongs to the run that built it and dies with it, and
+Shared integrand. ``_series_run`` is the one run builder: one
+``harness.verify`` call, property check or ad-hoc transform is one run over
+many s on one series handle. The half period rides on the handle (f is then
+the closed form, under ``mellin_oscillatory``). A run checks the seam once,
+passes its evaluation budget to every transform, and computes f once per
+node, sharing the value across its s: ``_memoized`` maps each node x to
+f(x), or to the exception f raised there, which it raises afresh (same
+class, same message, a new object) on every later request. The memo belongs to the run that built it and dies with it, and
 it holds at most one entry per node of both pieces up to ``_MAX_LEVEL``
 (about 57k). A value for one s does not depend on which other s share its
 run: f is a deterministic function of x, and each s keeps its own level
@@ -552,35 +554,26 @@ def mellin_oscillatory(f: Callable[[float], float], s, half_period: float,
     return QuadResult(piece.val, err, budget.used, err <= tol * max(abs(piece.val), 1e-300))
 
 
-def _seam_guard(h: "series_mod.SeriesHandle", tol: float) -> Callable[[], None]:
-    """A check that the series and the closed form of ``h`` agree at the
-    switch-over point, computed on its first call and replayed on every
-    later one; a no-op unless ``h`` has both a radius and a closed form."""
-    if h.closed_form is None or h.radius_hint is None:
-        return lambda: None
-    eval_tol = min(1e-2 * tol, series_mod.DEFAULT_TOL)
-    seam = _memoized(lambda t: series_mod.seam_check(h, t))
-
-    def guard():
-        x_seam, mismatch = seam(eval_tol)
-        if mismatch > _SEAM_TOL_FACTOR * tol:
-            raise SeamMismatchError(
-                f"series and closed form disagree by {mismatch:.3e} at the "
-                f"switch-over point x={x_seam:.6g}")
-
-    return guard
-
-
 def _series_run(h: "series_mod.SeriesHandle", tol: float,
                 max_evals: int = MAX_EVALS) -> Callable[..., QuadResult]:
-    """s -> ``mellin_on_series(h, s, ...)`` for every s of one run, with
-    the seam check and each integrand value computed once per run."""
+    """s -> ``mellin_on_series(h, s, tol, max_evals)`` for every s of one
+    run; the seam check (where ``h`` has a radius and a closed form) and
+    each integrand value are computed once per run."""
     eval_tol = min(1e-2 * tol, series_mod.DEFAULT_TOL)
-    guard = _seam_guard(h, tol)
-    f = _memoized(lambda x: series_mod.eval_series(h, x, tol=eval_tol))
+    f = _memoized(h.closed_form if h.half_period > 0.0
+                  else lambda x: series_mod.eval_series(h, x, tol=eval_tol))
+    seamed = h.closed_form is not None and h.radius_hint is not None
+    seam = _memoized(lambda t: series_mod.seam_check(h, t))
 
     def run(s) -> QuadResult:
-        guard()
+        if seamed:
+            x_seam, mismatch = seam(eval_tol)
+            if mismatch > _SEAM_TOL_FACTOR * tol:
+                raise SeamMismatchError(
+                    f"series and closed form disagree by {mismatch:.3e} at the "
+                    f"switch-over point x={x_seam:.6g}")
+        if h.half_period > 0.0:
+            return mellin_oscillatory(f, s, h.half_period, tol=tol, max_evals=max_evals)
         return mellin_transform(f, s, tol=tol, max_evals=max_evals)
 
     return run
@@ -590,9 +583,10 @@ def mellin_on_series(h: "series_mod.SeriesHandle", s, tol: float = 1e-10,
                      max_evals: int = MAX_EVALS) -> QuadResult:
     """Transform of the integrand synthesized from a series handle.
 
-    f is evaluated through the truncated series inside the convergence
-    radius and the registered closed form outside; their agreement at the
-    switch-over point is checked first. This is the one-s case of
-    ``_series_run``.
+    f is the truncated series inside the convergence radius and the
+    registered closed form outside (their agreement at the switch-over
+    point is checked first), or the closed form alone, under the
+    oscillatory rule, when the handle has a half period. This is the one-s
+    case of ``_series_run``.
     """
     return _series_run(h, tol, max_evals)(s)

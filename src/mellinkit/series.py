@@ -14,14 +14,13 @@ A[k, .] depends on the kernel, the coefficient function, the mode and m,
 not on x: ``term`` builds it from the principal part and jet at k
 (``jets.residue_row`` or ``jets.pm_row``) on first use and keeps it in the
 handle, so every later evaluation of that summand, at any x, is one
-polynomial in log x times x^k. A handle starts with no rows;
-``with_closed_form`` returns a handle that builds its own.
+polynomial in log x times x^k. A handle starts with no rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .catalog import CoefficientFunction, KernelFunction
@@ -51,6 +50,9 @@ class SeriesHandle:
     m: int = 0  # the conjecture order
     radius_hint: Optional[float] = None
     closed_form: Optional[Callable[[float], float]] = None
+    #: > 0: f is the closed form everywhere and oscillates like
+    #: cos(pi x / half_period)
+    half_period: float = 0.0
     #: k -> row of the k-th summand, filled by ``term``
     rows: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
@@ -62,18 +64,16 @@ class SeriesHandle:
             raise ValueError(f"radius hint must be positive, got {self.radius_hint}")
         if self.mode == "conjecture" and self.m < 1:
             raise ValueError("conjecture mode needs m >= 1")
-
-    def with_closed_form(self, fn, radius=None) -> "SeriesHandle":
-        return replace(self, closed_form=fn,
-                       radius_hint=radius if radius is not None else self.radius_hint)
+        if self.half_period > 0.0 and self.closed_form is None:
+            raise ValueError("a half period needs a closed form")
 
 
 def handle(kernel: KernelFunction, coeff: CoefficientFunction, mode: str = "residue",
            m: int = 0, radius_hint: Optional[float] = None,
-           closed_form=None) -> SeriesHandle:
+           closed_form=None, half_period: float = 0.0) -> SeriesHandle:
     if radius_hint is None:
         radius_hint = theorem_radius(coeff)
-    return SeriesHandle(kernel, coeff, mode, m, radius_hint, closed_form)
+    return SeriesHandle(kernel, coeff, mode, m, radius_hint, closed_form, half_period)
 
 
 def theorem_radius(coeff: CoefficientFunction) -> Optional[float]:

@@ -1,9 +1,17 @@
-"""Tests for the command-line surface: usage errors exit 2 before any work."""
+"""Tests for the command-line surface: usage errors exit 2 before any work,
+`mellin` runs take their handle and budget from the registry, and the
+default `verify-all` report is byte-stable."""
 
+import json
+import pathlib
+
+import mpmath
 import pytest
 
 from mellinkit import cli, harness, mellin
 from mellinkit.errors import StripViolationError
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -79,3 +87,58 @@ class TestRepresentationStrip:
         # psi's representation never converges: its transforms end in a
         # quadrature diagnostic (exit 3), not a strip error
         harness.check_representable("psi", 5.0)
+
+
+def _samples(out):
+    return json.loads(out)["cases"][0]["samples"]
+
+
+class TestMellinRuns:
+    @pytest.mark.parametrize("identity,s", [("gamma_bernoulli", "0.5"),
+                                            ("k0_pi", "1.0")])
+    def test_identity_keeps_the_evaluation_budget(self, capsys, identity, s):
+        rc, out, err = _run(capsys, "mellin", "--identity", identity, "--s", s,
+                            "--max-evals", "5")
+        assert rc == cli.EXIT_NUMERIC and out == ""
+        assert err == ("numeric failure: evaluation budget of 5 exhausted "
+                       "without convergence\n")
+
+    # --coeff takes the closed form and rule the registry gives the pair
+    @pytest.mark.parametrize("kernel,coeff,identity", [
+        ("gamma", "power_a:2", "gamma_scaled:2"),
+        ("gamma_cos_half", "power_a:2", "cos_mellin:2"),
+        ("gamma_squared", "sin_gamma", "gamma_sq_sin_gamma"),
+    ])
+    def test_coeff_runs_the_registered_identity_lhs(self, capsys, kernel, coeff,
+                                                     identity):
+        grid = [0.3, 0.55, 0.4 + 0.2j]
+        tol = harness.get_case(identity).default_tol
+        rc, out, _ = _run(capsys, "mellin", "--kernel", kernel, "--coeff", coeff,
+                          "--s", "0.3", "--s", "0.55", "--s", "0.4+0.2i",
+                          "--tol", repr(tol))
+        assert rc == cli.EXIT_PASS
+        want = {smp.s: smp for smp in harness.verify(identity, s_grid=grid, tol=tol).samples}
+        for s, doc in zip(grid, _samples(out)):
+            smp = want[s]
+            assert (complex(doc["lhs_re"], doc["lhs_im"]), doc["err_abs"],
+                    doc["n_evals"]) == (smp.lhs, smp.err_abs, smp.n_evals), s
+
+    def test_coeff_pi_csc_inv_gamma_matches_mpmath(self, capsys):
+        grid = [0.3, 0.55, 0.4 + 0.2j]
+        rc, out, _ = _run(capsys, "mellin", "--kernel", "pi_csc", "--coeff",
+                          "inv_gamma", "--s", "0.3", "--s", "0.55", "--s", "0.4+0.2i")
+        assert rc == cli.EXIT_PASS
+        for s, doc in zip(grid, _samples(out)):
+            with mpmath.workdps(30):
+                t = mpmath.mpc(s)
+                want = complex(mpmath.pi / (mpmath.sin(mpmath.pi * t)
+                                            * mpmath.gamma(1 - t)))
+            got = complex(doc["lhs_re"], doc["lhs_im"])
+            assert abs(got - want) <= 1e-12 * abs(want), s
+
+
+def test_default_verify_all_json_is_byte_stable(capsys):
+    # the report before the handle and run builders were merged
+    rc, out, err = _run(capsys, "verify-all", "--format", "json")
+    assert rc == cli.EXIT_PASS and err == ""
+    assert out == (DATA / "verify_all.json").read_text()

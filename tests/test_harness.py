@@ -1,6 +1,7 @@
 """Tests for the identity registry and verification drivers."""
 
 import dataclasses
+import json
 import math
 
 import mpmath
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mellinkit import catalog, harness, series, specfun
+from mellinkit import catalog, cli, harness, series, specfun
 from mellinkit.errors import MellinkitError, StripViolationError, UnknownIdError
 
 PI = math.pi
@@ -261,6 +262,19 @@ class TestConjecture:
             b = complex(case.rhs_alt(s))
             assert abs(a - b) <= 1e-12 * max(abs(a), 1.0), s
 
+    @pytest.mark.parametrize("gid", ["inv_gamma", "inv_linear"])
+    def test_m1_without_growth_data_matches_mpmath(self, gid):
+        # neither coefficient has growth data: the series hands over to the
+        # tabled closed form at pi_csc's radius 1
+        rep = harness.verify_conjecture(1, gid)
+        assert rep.passed and rep.max_rel_err <= 1e-12
+        for smp in rep.samples:
+            with mpmath.workdps(30):
+                t = mpmath.mpc(smp.s.real, smp.s.imag)
+                g = 1 / mpmath.gamma(1 - t) if gid == "inv_gamma" else 1 / (1 - t)
+                want = complex(mpmath.pi / mpmath.sin(mpmath.pi * t) * g)
+            assert abs(smp.lhs - want) <= 1e-12 * abs(want), smp.s
+
     def test_order_bounds(self):
         with pytest.raises(UnknownIdError):
             harness.verify_conjecture(5, "const_one")
@@ -365,6 +379,21 @@ class TestSingleSource:
         assert (smp.lhs, smp.err_abs, smp.n_evals) == (
             complex(q.value), q.err_abs, q.n_evals)
 
+    @pytest.mark.parametrize("kid", [
+        "gamma", "pi_csc", "gamma_squared", "gamma_cos_half",
+        "gamma_deriv:1", "gamma_deriv:2", "gamma_deriv:3",
+        "pi_csc_deriv:1", "pi_csc_deriv:2",
+        "pi_csc_pow:1", "pi_csc_pow:2", "pi_csc_pow:3", "pi_csc_pow:4"])
+    def test_cli_kernel_transform_is_the_kernel_representation(self, capsys, kid):
+        grid = [0.3, 0.4 + 0.2j]
+        rc = cli.main(["mellin", "--kernel", kid, "--s", "0.3", "--s", "0.4+0.2i"])
+        samples = json.loads(capsys.readouterr().out)["cases"][0]["samples"]
+        assert rc == cli.EXIT_PASS
+        for s, doc in zip(grid, samples):
+            q = harness.integral_representation(kid, s, tol=1e-10)
+            assert (complex(doc["lhs_re"], doc["lhs_im"]), doc["err_abs"],
+                    doc["n_evals"]) == (complex(q.value), q.err_abs, q.n_evals), s
+
     def test_every_kernel_has_a_table_entry(self):
         names = {kid.split(":", 1)[0] for kid in catalog.kernel_ids()}
         assert names == set(harness._FORMS)
@@ -380,7 +409,7 @@ class TestSingleSource:
          lambda x: (math.log(x) ** 2 + PI * PI) / (1.0 + x)),
     ])
     def test_derived_closed_forms_are_bit_identical(self, kid, gid, want):
-        closed = harness._series_handle(kid, gid).closed_form
+        closed = harness.representation_handle(kid, gid).closed_form
         for i in range(1, 400):
             x = 0.0137 * i
             assert closed(x) == want(x), x

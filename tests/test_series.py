@@ -141,11 +141,9 @@ class TestRows:
         first = series.term(h, 3, 0.4)
         row = h.rows[3]
         assert series.term(h, 3, 0.4) == first and h.rows[3] is row
-        # a handle of the next derivative, or a copy with a closed form,
-        # builds rows of its own
+        # a handle of the next derivative builds rows of its own
         other = series.handle(catalog.kernel("pi_csc_deriv:2"), g)
         assert other.rows == {} and other.rows is not h.rows
-        assert h.with_closed_form(lambda x: 0.0).rows == {}
 
     def test_handles_freed_and_rebuilt_get_their_own_rows(self):
         # handles made and dropped one after another may reuse an address;
@@ -293,3 +291,10 @@ class TestHandleValidation:
             series.SeriesHandle(catalog.kernel("pi_csc_pow:2"),
                                 catalog.coefficient("const_one"),
                                 mode="conjecture", m=0)
+
+    def test_half_period_needs_a_closed_form(self):
+        kern, g = catalog.kernel("gamma_cos_half"), catalog.coefficient("const_one")
+        with pytest.raises(ValueError):
+            series.handle(kern, g, half_period=math.pi)
+        assert series.handle(kern, g, closed_form=math.cos,
+                             half_period=math.pi).half_period == math.pi
