@@ -271,18 +271,21 @@ def _cmd_verify_all(args) -> int:
 
 def _mellin_runner(args, tol, grid):
     """(label, s -> QuadResult) for an identity's lhs or for the series of
-    a kernel and a coefficient (default g = 1). With --kernel alone, every
-    s of ``grid`` is checked against the strip of the kernel's
-    representation first."""
+    a kernel and a coefficient (default g = 1). Every s of ``grid`` is
+    checked first: against the identity's strip, with
+    ``harness.EDGE_MARGIN`` as in ``verify``, or against the strip of the
+    representation."""
     max_evals = MAX_EVALS if args.max_evals is None else args.max_evals
     if max_evals < 1:
         raise ValueError(f"--max-evals must be at least 1, got {max_evals}")
     if args.identity:
-        return f"mellin:{args.identity}", harness.get_case(args.identity).lhs(tol, max_evals)
-    h = harness.representation_handle(args.kernel, args.coeff or "const_one")
-    if not args.coeff:
-        for s in grid:
-            harness.check_representable(args.kernel, s)
+        case = harness.get_case(args.identity)
+        harness.check_in_strip(case, grid)
+        return f"mellin:{args.identity}", case.lhs(tol, max_evals)
+    coeff = args.coeff or "const_one"
+    h = harness.representation_handle(args.kernel, coeff)
+    for s in grid:
+        harness.check_representable(args.kernel, s, coeff)
     label = f"mellin:{args.kernel}" + (f":{args.coeff}" if args.coeff else "")
     return label, lambda s: mellin_on_series(h, s, tol, max_evals)
 

@@ -399,12 +399,18 @@ def default_grid(strip: Strip) -> list:
     return pts + [complex(strip.lo + 0.5 * strip.width, 0.2)]
 
 
-def _run_samples(case: IdentityCase, s_grid, tol: float) -> IdentityReport:
+def check_in_strip(case: IdentityCase, s_grid) -> None:
+    """Raise StripViolationError unless every s of ``s_grid`` lies in the
+    case's strip, at least ``EDGE_MARGIN`` from its edges."""
     for s in s_grid:
         if not case.strip.contains(s, EDGE_MARGIN):
             raise StripViolationError(
                 f"s={s} is not inside the strip ({case.strip.lo}, {case.strip.hi}) "
                 f"with margin {EDGE_MARGIN} for identity {case.id}")
+
+
+def _run_samples(case: IdentityCase, s_grid, tol: float) -> IdentityReport:
+    check_in_strip(case, s_grid)
     run = case.lhs(tol)
     samples = []
     for s in s_grid:
@@ -462,16 +468,21 @@ def integral_representation(kernel_id: str, s, tol: float = 1e-8) -> QuadResult:
     return mellin_on_series(representation_handle(kernel_id), s, tol)
 
 
-def check_representable(kernel_id: str, s) -> None:
+def check_representable(kernel_id: str, s, coeff_id: str = "const_one") -> None:
     """Raise StripViolationError when Re(s) lies outside the strip where
-    the kernel's g = 1 representation converges."""
+    the kernel's representation with coefficient ``coeff_id`` holds: the
+    g = 1 strip, narrowed to Re(s) < g.delta for any other g."""
     forms = _FORMS.get(kernel_id.split(":", 1)[0])
     if forms is None or forms.strip is None:
         return
     lo, hi = forms.strip
+    label = kernel_id
+    if coeff_id != "const_one":
+        hi = min(hi, catalog.coefficient(coeff_id).delta)
+        label = f"{kernel_id} with {coeff_id}"
     if not lo < (s.real if isinstance(s, complex) else s) < hi:
         raise StripViolationError(
-            f"{kernel_id} representation converges on ({lo}, {hi}); "
+            f"{label} representation converges on ({lo}, {hi}); "
             f"requested h({s})")
 
 

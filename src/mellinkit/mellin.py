@@ -53,12 +53,20 @@ difference has been shrinking doubly exponentially rather than being small
 once by chance. Each piece first converges to 0.5 tol relative to itself;
 when the two pieces cancel, so that their errors exceed tol relative to
 their total, the piece with the larger error and then the other are refined
-to 0.5 tol relative to the total (see ``mellin_transform``).
+to 0.5 tol relative to the total (see ``mellin_transform``). A piece fails
+fast where the integral does not exist (e.g. -1/(1 - x) across x = 1): from
+h = 1/256 on, a rejected level whose d_k exceeds sqrt(tol) * |value| and is
+no smaller than d_{k-2} raises ConvergenceError (see ``_Piece.converge``).
 
-Error estimate. A piece reports err_abs = max(d_k, 16 eps h sum |terms|):
-the last difference, floored by the rounding error of the trapezoid sum,
-which the difference alone underestimates once the doubly exponential
-convergence has set in.
+Error estimate. A piece reports err_abs = max(d_k, 16 eps h sum |terms|,
+|f(x0)| x0^Re(s) / Re(s)): the last difference, floored by the rounding
+error of the trapezoid sum, which the difference alone underestimates once
+the doubly exponential convergence has set in, and, for the pieces that
+start at x = 0, by about the part of the integral under x0, the smallest
+node evaluated (nodes where x underflows are dropped). Refinement reduces
+neither floor, and only the first two decide which piece to refine. The
+last one exceeds the others only near Re(s) = 0 (below about 0.05 on the
+registered identities).
 
 Shared integrand. ``_series_run`` is the one run builder: one
 ``harness.verify`` call, property check or ad-hoc transform is one run over
@@ -103,6 +111,7 @@ _ROUNDING_C = 16.0    # rounding floor of err_abs, in eps * h * sum |terms|
 _BETA = 0.25          # Ooura-Mori map: phi(t) - t ~ exp(-beta e^t) as t -> oo
 _STALL = 0.5          # see ``mellin_oscillatory``
 _STALL_LEVEL = 4
+_DE_STALL_LEVEL = 8   # h = 1/256; see ``_Piece.converge``
 _SEAM_TOL_FACTOR = 10.0  # series and closed form may differ by this * tol
 
 
@@ -230,10 +239,11 @@ def _upper_node(t: float):
 class _NodeLevel:
     """The nodes one DE level adds to one piece: abscissae x (as an array
     and as Python floats, the form the integrand takes), log x, the
-    weights dx/dt and their logarithms, and the pair each node belongs to
-    (t and -t form one pair; t = 0 is a pair of its own)."""
+    weights dx/dt and their logarithms, the pair each node belongs to
+    (t and -t form one pair; t = 0 is a pair of its own), and the index
+    and log x of the smallest node."""
 
-    __slots__ = ("xs", "x", "lnx", "w", "lw", "pair", "n_pairs")
+    __slots__ = ("xs", "x", "lnx", "w", "lw", "pair", "n_pairs", "low", "low_lnx")
 
     def __init__(self, nodes: list, n_pairs: int):
         columns = [np.array(c, dtype=float) for c in zip(*nodes)] if nodes \
@@ -242,6 +252,8 @@ class _NodeLevel:
         self.pair = columns[4].astype(np.intp)
         self.n_pairs = n_pairs
         self.xs = self.x.tolist()
+        self.low = int(self.lnx.argmin()) if nodes else -1
+        self.low_lnx = self.lnx[self.low].item() if nodes else math.inf
 
 
 #: node tables, built on first use and kept for the process: keyed by
@@ -333,11 +345,13 @@ class _Piece:
     """Trapezoid sums of one DE piece for one s, refined level by level.
 
     ``val`` is the sum at the last level, ``diffs`` the level-to-level
-    differences (``diffs[0]`` is |val| at level 0) and ``abs_sum`` the sum
-    of |term| over every node so far."""
+    differences (``diffs[0]`` is |val| at level 0), ``abs_sum`` the sum
+    of |term| over every node so far, and ``low_lnx`` and ``low_f`` are
+    log x0 and |f(x0)| at the smallest node x0 evaluated so far, for pieces
+    that start at x = 0."""
 
     __slots__ = ("node_fn", "f", "sm1", "complex_s", "budget", "level", "h",
-                 "val", "diffs", "abs_sum")
+                 "val", "diffs", "abs_sum", "from_zero", "low_lnx", "low_f")
 
     def __init__(self, node_fn, f, s, budget: _EvalBudget):
         self.node_fn, self.f, self.budget = node_fn, f, budget
@@ -345,6 +359,8 @@ class _Piece:
         self.complex_s = isinstance(s, complex)
         self.level, self.h = -1, 2.0
         self.val, self.diffs, self.abs_sum = 0.0, [], 0.0
+        self.from_zero = node_fn is not _upper_node  # every other piece starts at 0
+        self.low_lnx, self.low_f = math.inf, 0.0
 
     def refine(self):
         """Add the next level's nodes."""
@@ -364,14 +380,21 @@ class _Piece:
         # a prefactor below e^-800 underflows past any log-bounded growth
         keep = log_pref >= -800.0
         xs, w, lw, pair = lv.xs, lv.w, lv.lw, lv.pair
+        low, low_lnx = lv.low, lv.low_lnx
         if not keep.all():
             xs = lv.x[keep].tolist()
             arg, re_arg, log_pref = arg[keep], re_arg[keep], log_pref[keep]
             w, lw, pair = w[keep], lw[keep], pair[keep]
+            if xs:
+                lnx = lv.lnx[keep]
+                low = int(lnx.argmin())
+                low_lnx = lnx[low].item()
         if not xs:
             return 0.0, 0.0
         self.budget.spend(len(xs))
         fv = self._values(xs, log_pref)
+        if self.from_zero and low_lnx < self.low_lnx:
+            self.low_lnx, self.low_f = low_lnx, abs(fv[low].item())
         with np.errstate(over="ignore", invalid="ignore"):
             terms = w * np.exp(arg) * fv
             good = (np.abs(re_arg) < 700.0) & np.isfinite(terms)
@@ -408,10 +431,26 @@ class _Piece:
         """The rounding error of the sum: a few eps * h * sum |terms|."""
         return _ROUNDING_C * _EPS * self.h * self.abs_sum
 
-    def err(self) -> float:
-        """The last level-to-level difference, floored by the rounding
-        error of the sum."""
+    def below(self) -> float:
+        """About |f(x0)| x0^Re(s) / Re(s): the part of the integral under the
+        smallest node x0 evaluated, which the sums leave out (nodes where x
+        underflows are dropped). 0 for the upper piece, and for Re(s) <= 0,
+        where f must vanish at 0 for the transform to exist."""
+        re_s = self.sm1.real + 1.0
+        if self.low_f == 0.0 or re_s <= 0.0:
+            return 0.0
+        return math.exp(min(math.log(self.low_f) + re_s * self.low_lnx
+                            - math.log(re_s), 709.0))
+
+    def sum_err(self) -> float:
+        """The error of the sum: the last level-to-level difference,
+        floored by its rounding error."""
         return max(self.diffs[-1], self.rounding())
+
+    def err(self) -> float:
+        """The error of the piece: ``sum_err`` floored by the part of the
+        integral under the smallest node, which no refinement reduces."""
+        return max(self.sum_err(), self.below())
 
     def accepts(self, tol: float, scale: float) -> bool:
         """DE convergence confirmed: h <= 1/4, the last difference below
@@ -420,15 +459,32 @@ class _Piece:
                 and self.diffs[-2] <= math.sqrt(tol) * scale)
 
     def converge(self, tol: float) -> "_Piece":
-        """Refine until convergence relative to the piece's own value."""
+        """Refine until convergence relative to the piece's own value.
+
+        The sums of an integrable analytic integrand converge doubly
+        exponentially once h is fine. So from level ``_DE_STALL_LEVEL``
+        (h = 1/256) on, a rejected level whose difference d_k exceeds
+        sqrt(tol) |value| and is no smaller than d_{k-2} raises
+        ConvergenceError, taken to mean that the integral does not exist at
+        this s (e.g. a non-integrable singularity). Coarser levels may not
+        resolve x^{i Im s} yet, and their differences may grow before they
+        shrink."""
+        d = self.diffs
         while True:
             if self.level == _MAX_LEVEL:
                 raise ConvergenceError(
                     "quadrature did not stabilize within the refinement budget "
-                    f"(last interval-halving difference {self.diffs[-1]:.3e})")
+                    f"(last interval-halving difference {d[-1]:.3e})")
             self.refine()
-            if self.accepts(tol, max(abs(self.val), 1e-300)):
+            scale = max(abs(self.val), 1e-300)
+            if self.accepts(tol, scale):
                 return self
+            if (self.level >= _DE_STALL_LEVEL and d[-1] > math.sqrt(tol) * scale
+                    and d[-1] >= d[-3]):
+                raise ConvergenceError(
+                    "quadrature did not stabilize: the interval-halving difference "
+                    f"did not shrink from level {self.level - 2} ({d[-3]:.3e}) to "
+                    f"level {self.level} ({d[-1]:.3e})")
 
     def tighten(self, tol: float, scale) -> None:
         """Refine until convergence relative to ``scale()``, until the
@@ -456,9 +512,9 @@ def mellin_transform(f: Callable[[float], float], s, tol: float = 1e-10,
         def total_scale():
             return abs(lo.val + hi.val)
 
-        for piece in sorted((lo, hi), key=_Piece.err, reverse=True):
+        for piece in sorted((lo, hi), key=_Piece.sum_err, reverse=True):
             total = total_scale()
-            if total == 0.0 or lo.err() + hi.err() <= tol * total:
+            if total == 0.0 or lo.sum_err() + hi.sum_err() <= tol * total:
                 break
             piece.tighten(0.5 * tol, total_scale)
     value = lo.val + hi.val
@@ -507,13 +563,14 @@ def _oscillatory_table(omega: float, level: int) -> _NodeLevel:
 class _OscillatoryPiece(_Piece):
     """Oscillatory DE sums for one s; ``node_fn`` maps a level to its node
     table. The levels are not nested: each is a complete sum, and
-    ``abs_sum`` is the last level's."""
+    ``abs_sum``, ``low_lnx`` and ``low_f`` are the last level's."""
 
     __slots__ = ()
 
     def refine(self):
         self.level += 1
         self.h *= 0.5
+        self.low_lnx, self.low_f = math.inf, 0.0
         add, self.abs_sum = self._level_sum(self.node_fn(self.level))
         val = add * self.h
         self.diffs.append(abs(val - self.val) if self.level else abs(val))
@@ -527,12 +584,13 @@ def mellin_oscillatory(f: Callable[[float], float], s, half_period: float,
 
     Levels h = 1, 1/2, ... of the oscillatory DE rule (module docstring) are
     refined until the ``_Piece.accepts`` rule holds or the difference
-    reaches the rounding floor; err_abs = max(difference, floor). From level
-    ``_STALL_LEVEL`` on (coarser levels may not resolve the oscillation yet),
-    two differences in a row above ``_STALL`` times the one before, or
-    ``_MAX_LEVEL``, raise AccelerationFailureError: the integrand does not
-    oscillate as declared, or Re(s) < ~0.03 puts part of the integral below
-    the smallest double.
+    reaches the rounding floor; err_abs is ``_Piece.err``, the difference
+    floored by the rounding error and the part under the smallest node.
+    From level ``_STALL_LEVEL`` on (coarser levels may not resolve the
+    oscillation yet), two differences in a row above ``_STALL`` times the
+    one before, or ``_MAX_LEVEL``, raise AccelerationFailureError: the
+    integrand does not oscillate as declared, or Re(s) < ~0.03 puts part of
+    the integral below the smallest double.
     """
     if half_period <= 0.0:
         raise ValueError(f"half period must be positive, got {half_period}")

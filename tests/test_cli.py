@@ -78,6 +78,32 @@ class TestRepresentationStrip:
         assert rc == cli.EXIT_USAGE and out == ""
         assert err.startswith("error:") and f"requested {bad}" in err
 
+    @pytest.mark.parametrize("identity,specs", [
+        ("k0_pi", []),  # the default s = 0.5 is k0_pi's lower strip edge
+        ("pi_csc_geometric", ["0.5", "1.5"]),
+        ("gamma_bernoulli", ["0.01"]),
+    ])
+    def test_mellin_identity_outside_strip_fails_before_quadrature(
+            self, capsys, no_quadrature, identity, specs):
+        argv = ["mellin", "--identity", identity] + [f"--s={spec}" for spec in specs]
+        rc, out, err = _run(capsys, *argv)
+        assert rc == cli.EXIT_USAGE and out == ""
+        assert err.startswith("error:") and f"for identity {identity}" in err
+
+    # with --coeff G, the g = 1 strip narrowed to Re(s) < G.delta
+    @pytest.mark.parametrize("kernel,coeff,spec", [
+        ("pi_csc", "const_one", "1.5"),
+        ("pi_csc", "inv_gamma", "-0.2"),
+        ("gamma", "power_a:2", "1.5"),
+        ("gamma_squared", "sin_gamma", "1.2+0.3i"),
+    ])
+    def test_mellin_coeff_outside_strip_fails_before_quadrature(
+            self, capsys, no_quadrature, kernel, coeff, spec):
+        rc, out, err = _run(capsys, "mellin", "--kernel", kernel, "--coeff", coeff,
+                            "--s", "0.5", f"--s={spec}")
+        assert rc == cli.EXIT_USAGE and out == ""
+        assert err.startswith("error:") and "requested h(" in err
+
     def test_every_kernel_but_psi_has_a_strip(self):
         for kernel in ("gamma", "pi_csc", "gamma_squared", "gamma_cos_half",
                        "gamma_deriv:1", "pi_csc_deriv:2", "pi_csc_pow:3"):
@@ -102,6 +128,20 @@ class TestMellinRuns:
         assert rc == cli.EXIT_NUMERIC and out == ""
         assert err == ("numeric failure: evaluation budget of 5 exhausted "
                        "without convergence\n")
+
+    def test_psi_fails_fast(self, capsys, monkeypatch):
+        # -1/(1 - x) is not integrable across x = 1: the stall rule ends the
+        # lower piece at level 9
+        spent = []
+        spend = mellin._EvalBudget.spend
+        monkeypatch.setattr(mellin._EvalBudget, "spend",
+                            lambda budget, n=1: spent.append(n) or spend(budget, n))
+        rc, out, err = _run(capsys, "mellin", "--kernel", "psi", "--s", "0.35")
+        assert rc == cli.EXIT_NUMERIC and out == ""
+        assert err.startswith("numeric failure: quadrature did not stabilize")
+        n_max = sum(mellin._node_table(mellin._lower_node, k).x.size
+                    for k in range(10))
+        assert 0 < sum(spent) <= n_max
 
     # --coeff takes the closed form and rule the registry gives the pair
     @pytest.mark.parametrize("kernel,coeff,identity", [
@@ -138,7 +178,8 @@ class TestMellinRuns:
 
 
 def test_default_verify_all_json_is_byte_stable(capsys):
-    # the report before the handle and run builders were merged
+    # every byte is pinned; the digamma_corollary samples carry the stall
+    # rule's diagnostic from level 9
     rc, out, err = _run(capsys, "verify-all", "--format", "json")
     assert rc == cli.EXIT_PASS and err == ""
     assert out == (DATA / "verify_all.json").read_text()

@@ -99,10 +99,17 @@ class TestMellinTransform:
             mellin_transform(bad, 0.5, tol=1e-9)
 
     def test_divergent_integrand_is_diagnosed(self):
-        # 1/(1-x) is not integrable across x = 1
-        with pytest.raises(ConvergenceError):
+        # 1/(1-x) is not integrable across x = 1: the lower piece's
+        # differences run 2.4e-3, 8.3e-4, 5.1e-2 at levels 7-9, so refinement
+        # stops at level 9 instead of _MAX_LEVEL
+        n_max = sum(mellin._node_table(mellin._lower_node, k).x.size
+                    for k in range(10))
+        with pytest.raises(ConvergenceError) as info:
             mellin_transform(lambda x: 1.0 / (1.0 - x) if x != 1.0 else math.inf,
                              0.5, tol=1e-9)
+        assert str(info.value).startswith("quadrature did not stabilize")
+        assert "from level 7 (2.432e-03) to level 9 (5.076e-02)" in str(info.value)
+        assert 0 < info.value.n_evals <= n_max
 
     def test_negative_re_s_with_decaying_tail(self):
         # extended-strip exponents: int x^{s-1} (-x/(1+x)) dx = pi/sin(pi s)
@@ -359,6 +366,20 @@ class TestStoppingRule:
             assert q.value == total
             assert not q.converged and q.err_abs > 0.0
             assert q.n_evals < 1000
+
+    def test_mass_below_the_smallest_node_is_in_the_error(self):
+        # nodes where x underflows are dropped; at s = 0.03 the integral
+        # under the smallest node, about x0^s / s, exceeds the last difference
+        s = 0.03
+        with mpmath.workdps(30):
+            gamma_s = mpmath.gamma(s)
+            want = float(gamma_s)
+            want_cos = float(gamma_s * mpmath.cos(mpmath.pi * s / 2))
+        q = mellin_transform(lambda x: math.exp(-x), s, tol=1e-10)
+        assert abs(q.value - want) <= q.err_abs
+        assert not q.converged  # the true error is 1.9e-10 relative
+        q = mellin_oscillatory(math.cos, s, math.pi, tol=1e-8)
+        assert abs(q.value - want_cos) <= q.err_abs
 
     def test_error_floor_covers_rounding(self):
         # the last difference can be far below the rounding of the sum
