@@ -183,3 +183,27 @@ def test_default_verify_all_json_is_byte_stable(capsys):
     rc, out, err = _run(capsys, "verify-all", "--format", "json")
     assert rc == cli.EXIT_PASS and err == ""
     assert out == (DATA / "verify_all.json").read_text()
+
+
+_GOLDEN = {
+    "list": ["list"],
+    "mellin_gamma_power_a2": ["mellin", "--kernel", "gamma", "--coeff", "power_a:2",
+                              "--s", "0.3", "--s", "0.4+0.2i"],
+    "props_gamma_logconvexity": ["props", "--kernel", "gamma", "--check",
+                                 "logconvexity"],
+    "props_gamma_supermultiplicative": ["props", "--kernel", "gamma", "--check",
+                                        "supermultiplicative"],
+    "props_gamma_weight": ["props", "--kernel", "gamma", "--check", "weight"],
+    "interp_inv_one_plus_x": ["interp", "--input", str(DATA / "geometric.csv"),
+                              "--normalization", "raw", "--closed-form",
+                              "inv_one_plus_x", "--kernel", "pi_csc",
+                              "--s", "0.3", "--s", "0.6+0.1i"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_default_json_report_is_byte_stable(capsys, name):
+    # every byte of each report is pinned by tests/data/<name>.json
+    rc, out, err = _run(capsys, *_GOLDEN[name])
+    assert rc == cli.EXIT_PASS and err == ""
+    assert out == (DATA / f"{name}.json").read_text()
