@@ -1,9 +1,9 @@
 """Registry of concrete kernels h and coefficient functions g.
 
 Each kernel carries exactly the data the series engines consume: a strip
-evaluator, per-pole principal parts, and the continuation phi(z) of
-sin(pi z) h(-z). Each coefficient function carries a complex evaluator and
-closed-form jets (derivative stacks) at the non-negative integers.
+evaluator and per-pole principal parts. Each coefficient function carries a
+complex evaluator and closed-form jets (derivative stacks) at the
+non-negative integers.
 
 Addressable ids (CLI surface):
 
@@ -20,14 +20,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import specfun
-from .errors import IncompatibleDomainError, PoleArgumentError, UnknownIdError
-from .jets import (Jet, PrincipalPart, binomial, series_exp, series_power,
-                   series_product, series_reciprocal)
+from .errors import PoleArgumentError, UnknownIdError
+from .jets import (Jet, PrincipalPart, series_exp, series_power, series_product,
+                   series_reciprocal)
 
 __all__ = [
     "KernelFunction", "CoefficientFunction", "PrincipalPart",
-    "kernel", "coefficient", "kernel_ids", "coefficient_ids",
-    "sum_of", "product_of", "scaled",
+    "kernel", "coefficient", "kernel_ids", "coefficient_ids", "scaled",
 ]
 
 PI = math.pi
@@ -44,8 +43,8 @@ class KernelFunction:
     id: str
     eval: Callable
     principal_part: Callable[[int], PrincipalPart]
-    phi_eval: Callable
-    simple_poles: bool = True
+    # unused: perfbench/layertrace.py still wraps this field by name
+    phi_eval: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -75,28 +74,6 @@ def _inv_factorial(k: int) -> float:
     return 1.0 / float(math.factorial(k)) if k <= _FACTORIAL_FLOOR else 0.0
 
 
-def phi_richardson_limit(kernel_eval: Callable, k: int, h0: float = 0.05) -> complex:
-    """Removable-singularity limit of sin(pi z) h(-z) at z = k by Richardson
-    extrapolation along the real axis.
-
-    Fallback for kernels without a closed-form phi; the registered kernels
-    all carry closed forms.
-    """
-    def f(eps):
-        z = k + eps
-        return _sinpi(z) * kernel_eval(-z)
-
-    # symmetric average kills the odd error term, then eliminate h^2, h^4
-    vals = []
-    h = h0
-    for _ in range(4):
-        vals.append(0.5 * (f(h) + f(-h)))
-        h *= 0.5
-    for step in (4.0, 16.0, 64.0):
-        vals = [(step * vals[i + 1] - vals[i]) / (step - 1.0) for i in range(len(vals) - 1)]
-    return vals[0]
-
-
 # ---------------------------------------------------------------------------
 # kernels
 
@@ -109,7 +86,7 @@ def _kernel_pi_csc() -> KernelFunction:
     def pp(k):
         return PrincipalPart(k, 1, (-1.0 if k % 2 else 1.0,))
 
-    return KernelFunction("pi_csc", ev, pp, lambda z: -PI)
+    return KernelFunction("pi_csc", ev, pp)
 
 
 def _kernel_gamma() -> KernelFunction:
@@ -119,20 +96,12 @@ def _kernel_gamma() -> KernelFunction:
             return PrincipalPart(k, 0, ())
         return PrincipalPart(k, 1, (-c if k % 2 else c,))
 
-    return KernelFunction(
-        "gamma", specfun.gamma, pp,
-        lambda z: -PI * specfun.gamma_reciprocal(1.0 + z))
+    return KernelFunction("gamma", specfun.gamma, pp)
 
 
 def _kernel_psi() -> KernelFunction:
-    def phi(z):
-        # sin(pi z) psi(1+z) + pi cos(pi z): entire on Re(z) > -1
-        return _sinpi(z) * specfun.polygamma(0, 1.0 + z) + PI * _cospi(z)
-
-    return KernelFunction(
-        "psi", lambda s: specfun.polygamma(0, s),
-        lambda k: PrincipalPart(k, 1, (-1.0,)),
-        phi)
+    return KernelFunction("psi", lambda s: specfun.polygamma(0, s),
+                          lambda k: PrincipalPart(k, 1, (-1.0,)))
 
 
 def _kernel_gamma_cos_half() -> KernelFunction:
@@ -148,9 +117,7 @@ def _kernel_gamma_cos_half() -> KernelFunction:
         sign = -1.0 if (k // 2) % 2 else 1.0
         return PrincipalPart(k, 1, (sign * c,))
 
-    return KernelFunction(
-        "gamma_cos_half", ev, pp,
-        lambda z: -PI * _cospi(0.5 * z) * specfun.gamma_reciprocal(1.0 + z))
+    return KernelFunction("gamma_cos_half", ev, pp)
 
 
 def _kernel_gamma_squared() -> KernelFunction:
@@ -165,16 +132,7 @@ def _kernel_gamma_squared() -> KernelFunction:
         c1 = 2.0 * (specfun.harmonic(k) - specfun.EULER_GAMMA) * c2
         return PrincipalPart(k, 2, (c1, c2))
 
-    def phi(z):
-        # sin(pi z) Gamma(-z)^2 has genuine simple poles at the non-negative
-        # integers; only defined off them
-        if specfun._near_int(z):
-            raise PoleArgumentError(
-                "phi of the squared-gamma kernel diverges at the integers")
-        g = specfun.gamma(-z)
-        return _sinpi(z) * g * g
-
-    return KernelFunction("gamma_squared", ev, pp, phi, simple_poles=False)
+    return KernelFunction("gamma_squared", ev, pp)
 
 
 def _kernel_gamma_deriv(m: int) -> KernelFunction:
@@ -195,13 +153,7 @@ def _kernel_gamma_deriv(m: int) -> KernelFunction:
         lead = (-1.0 if m % 2 else 1.0) * math.factorial(m) * r
         return PrincipalPart(k, m + 1, (0.0,) * m + (lead,))
 
-    def phi(z):
-        if specfun._near_int(z):
-            raise PoleArgumentError(
-                "phi of a derivative kernel diverges at the integers")
-        return _sinpi(z) * specfun.gamma_deriv(m, -z)
-
-    return KernelFunction(f"gamma_deriv:{m}", ev, pp, phi, simple_poles=False)
+    return KernelFunction(f"gamma_deriv:{m}", ev, pp)
 
 
 def _kernel_pi_csc_deriv(m: int) -> KernelFunction:
@@ -216,13 +168,7 @@ def _kernel_pi_csc_deriv(m: int) -> KernelFunction:
         lead = (-1.0 if m % 2 else 1.0) * math.factorial(m) * r
         return PrincipalPart(k, m + 1, (0.0,) * m + (lead,))
 
-    def phi(z):
-        if specfun._near_int(z):
-            raise PoleArgumentError(
-                "phi of a derivative kernel diverges at the integers")
-        return _sinpi(z) * specfun.csc_deriv(m, -z)
-
-    return KernelFunction(f"pi_csc_deriv:{m}", ev, pp, phi, simple_poles=False)
+    return KernelFunction(f"pi_csc_deriv:{m}", ev, pp)
 
 
 def _csc_power_principal_coeffs(m: int) -> list:
@@ -254,13 +200,7 @@ def _kernel_pi_csc_pow(m: int) -> KernelFunction:
         coeffs = tuple(sgn * taylor[m - j] for j in range(1, m + 1))
         return PrincipalPart(k, m, coeffs)
 
-    def phi(z):
-        if specfun._near_int(z):
-            raise PoleArgumentError(
-                "phi of a cosecant-power kernel diverges at the integers")
-        return _sinpi(z) * specfun.csc_power(m, -z)
-
-    return KernelFunction(f"pi_csc_pow:{m}", ev, pp, phi, simple_poles=False)
+    return KernelFunction(f"pi_csc_pow:{m}", ev, pp)
 
 
 # ---------------------------------------------------------------------------
@@ -359,41 +299,7 @@ def _coeff_inv_linear() -> CoefficientFunction:
 
 
 # ---------------------------------------------------------------------------
-# composition (scaled sums and products with jets combined by linearity
-# and the Leibniz rule)
-
-def _common_delta(*gs: CoefficientFunction) -> float:
-    d = min(g.delta for g in gs)
-    if d <= 0.0:
-        raise IncompatibleDomainError("operands share no validity half-plane")
-    return d
-
-
-def sum_of(g1: CoefficientFunction, g2: CoefficientFunction) -> CoefficientFunction:
-    delta = _common_delta(g1, g2)
-
-    def jet(k, order):
-        a, b = g1.jet(k, order), g2.jet(k, order)
-        return Jet(k, order, tuple(x + y for x, y in zip(a.derivs, b.derivs)))
-
-    return CoefficientFunction(f"sum({g1.id},{g2.id})",
-                               lambda z: g1.eval(z) + g2.eval(z), jet, delta)
-
-
-def product_of(g1: CoefficientFunction, g2: CoefficientFunction) -> CoefficientFunction:
-    delta = _common_delta(g1, g2)
-
-    def jet(k, order):
-        a, b = g1.jet(k, order), g2.jet(k, order)
-        derivs = tuple(
-            sum(binomial(j, i) * a.derivs[i] * b.derivs[j - i] for i in range(j + 1))
-            for j in range(order + 1)
-        )
-        return Jet(k, order, derivs)
-
-    return CoefficientFunction(f"product({g1.id},{g2.id})",
-                               lambda z: g1.eval(z) * g2.eval(z), jet, delta)
-
+# scaling (jets scale by linearity)
 
 def scaled(c, g: CoefficientFunction) -> CoefficientFunction:
     def jet(k, order):

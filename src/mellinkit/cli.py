@@ -88,6 +88,17 @@ def _sample_doc(r: harness.SampleResult) -> dict:
     return doc
 
 
+def _adhoc_sample(s, lhs, err_abs=None, n_evals: int = 0) -> dict:
+    """A sample of an ad-hoc command: a value with no right-hand side."""
+    s, lhs = complex(s), complex(lhs)
+    return {
+        "s_re": s.real, "s_im": s.imag,
+        "lhs_re": lhs.real, "lhs_im": lhs.imag,
+        "rhs_re": None, "rhs_im": None,
+        "rel_err": None, "err_abs": err_abs, "n_evals": n_evals,
+    }
+
+
 def _case_doc(report: harness.IdentityReport) -> dict:
     return {
         "id": report.id,
@@ -127,8 +138,15 @@ def _render_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(doc: dict, args) -> None:
-    text = render_json(doc) + "\n" if args.format == "json" else _render_text(doc)
+def _render_list_text(doc: dict) -> str:
+    return "\n".join(
+        f"{c['id']:30s} [{c['expected_status']}] "
+        f"strip=({_fmt_float(c['strip_lo'])},{_fmt_float(c['strip_hi'])}) "
+        f"tags={','.join(c['tags'])}" for c in doc["cases"]) + "\n"
+
+
+def _emit(doc: dict, args, render_text=_render_text) -> None:
+    text = render_json(doc) + "\n" if args.format == "json" else render_text(doc)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -300,12 +318,7 @@ def _cmd_mellin(args) -> int:
         q = run(s)
         if not q.converged:
             any_failed = True
-        samples.append({
-            "s_re": complex(s).real, "s_im": complex(s).imag,
-            "lhs_re": complex(q.value).real, "lhs_im": complex(q.value).imag,
-            "rhs_re": None, "rhs_im": None,
-            "rel_err": None, "err_abs": q.err_abs, "n_evals": q.n_evals,
-        })
+        samples.append(_adhoc_sample(s, q.value, q.err_abs, q.n_evals))
     case_doc = {"id": label, "samples": samples, "max_rel_err": None,
                 "pass": not any_failed, "expected_status": "ad-hoc", "note": ""}
     _emit(_document("mellin", [case_doc]), args)
@@ -339,13 +352,7 @@ def _cmd_interp(args) -> int:
             val = interp.interpolate_extended(seq, args.kernel, args.extended, s, tol)
         else:
             val = interp.interpolate(seq, args.kernel, s, tol)
-        val = complex(val)
-        samples.append({
-            "s_re": complex(s).real, "s_im": complex(s).imag,
-            "lhs_re": val.real, "lhs_im": val.imag,
-            "rhs_re": None, "rhs_im": None,
-            "rel_err": None, "err_abs": None, "n_evals": 0,
-        })
+        samples.append(_adhoc_sample(s, val))
     case_doc = {"id": f"interp:{args.kernel}:{seq.normalization}",
                 "samples": samples, "max_rel_err": None, "pass": True,
                 "expected_status": "ad-hoc",
@@ -369,12 +376,7 @@ def _cmd_props(args) -> int:
     else:
         rep = interp.check_supermultiplicative(args.kernel, args.m,
                                                interp.grid_pairs_xy(), tol)
-    samples = [{
-        "s_re": e.point[0], "s_im": 0.0,
-        "lhs_re": e.margin, "lhs_im": 0.0,
-        "rhs_re": None, "rhs_im": None,
-        "rel_err": None, "err_abs": None, "n_evals": 0,
-    } for e in rep.entries]
+    samples = [_adhoc_sample(e.point[0], e.margin) for e in rep.entries]
     note = rep.skipped_reason or (
         f"min margin {rep.min_margin:.6g} at {rep.argmin}")
     case_doc = {"id": f"props:{rep.check}:{args.kernel}", "samples": samples,
@@ -399,19 +401,7 @@ def _cmd_list(args) -> int:
         "strip_lo": strip.lo, "strip_hi": strip.hi,
         "expected_status": status,
     } for cid, tags, strip, status in harness.list_identities()]
-    doc = {"schema_version": SCHEMA_VERSION, "command": "list", "cases": cases}
-    if args.format == "json":
-        text = render_json(doc) + "\n"
-    else:
-        lines = [f"{c['id']:30s} [{c['expected_status']}] "
-                 f"strip=({_fmt_float(c['strip_lo'])},{_fmt_float(c['strip_hi'])}) "
-                 f"tags={','.join(c['tags'])}" for c in doc["cases"]]
-        text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(_document("list", cases), args, _render_list_text)
     return EXIT_PASS
 
 

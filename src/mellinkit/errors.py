@@ -29,10 +29,6 @@ class UnknownIdError(MellinkitError, KeyError):
     """Lookup of an unregistered kernel, coefficient, identity or closed form."""
 
 
-class IncompatibleDomainError(MellinkitError, ValueError):
-    """Composite coefficient functions with no common validity half-plane."""
-
-
 class RadiusExceededError(MellinkitError, ValueError):
     """Series evaluation requested outside the convergence radius without a
     closed form to fall back on."""

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import catalog, harness, series, specfun
+from . import catalog, harness, series
 from .errors import (KernelZeroError, StripViolationError,
                      TailCertificationError, UnknownIdError)
 from .mellin import (MAX_EVALS, _EvalBudget, _scaled_lower_transform,
@@ -37,30 +37,39 @@ from .mellin import (MAX_EVALS, _EvalBudget, _scaled_lower_transform,
 
 NORMALIZATIONS = ("raw", "factorial")
 
-#: closed forms addressable from sequence files, by name (parameter after
-#: the colon where applicable)
-_CLOSED_FORM_BUILDERS = {
-    "exp_neg_x": lambda: lambda x: math.exp(-x),
+#: closed forms addressable from sequence files, by name
+_CLOSED_FORMS = {
+    "exp_neg_x": lambda x: math.exp(-x),
+    "inv_one_plus_x": lambda x: 1.0 / (1.0 + x),
+    "log1p_over_x": lambda x: math.log1p(x) / x,
+}
+#: ... and those that take a parameter a after the colon
+_PARAM_CLOSED_FORMS = {
     "exp_neg_ax": lambda a: lambda x: math.exp(-a * x),
-    "inv_one_plus_x": lambda: lambda x: 1.0 / (1.0 + x),
     "inv_one_plus_ax": lambda a: lambda x: 1.0 / (1.0 + a * x),
     "cos_ax": lambda a: lambda x: math.cos(a * x),
-    "log1p_over_x": lambda: lambda x: math.log1p(x) / x,
 }
 
 
 def closed_form(name: str) -> Callable[[float], float]:
-    """Resolve a registered closed form, e.g. ``exp_neg_ax:2``."""
-    if ":" in name:
-        base, param = name.split(":", 1)
-        builder = _CLOSED_FORM_BUILDERS.get(base)
-        if builder is None:
-            raise UnknownIdError(f"unknown closed form {name!r}")
-        return builder(float(param))
-    builder = _CLOSED_FORM_BUILDERS.get(name)
-    if builder is None:
-        raise UnknownIdError(f"unknown closed form {name!r}")
-    return builder()
+    """Resolve a registered closed form, e.g. ``exp_neg_x`` or
+    ``exp_neg_ax:2``."""
+    base, colon, param = name.partition(":")
+    if base in _CLOSED_FORMS:
+        if colon:
+            raise UnknownIdError(f"closed form {base} takes no parameter")
+        return _CLOSED_FORMS[base]
+    if base in _PARAM_CLOSED_FORMS:
+        if not colon:
+            raise UnknownIdError(
+                f"closed form {base} needs a parameter, e.g. {base}:2")
+        try:
+            a = float(param)
+        except ValueError:
+            raise UnknownIdError(
+                f"closed-form parameter must be a number, got {param!r}")
+        return _PARAM_CLOSED_FORMS[base](a)
+    raise UnknownIdError(f"unknown closed form {name!r}")
 
 
 @dataclass(frozen=True)
@@ -103,12 +112,16 @@ def sequence_from_csv(path, normalization: str,
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty sequence file: expected header 'k,c_k'")
         if [h.strip() for h in header[:2]] != ["k", "c_k"]:
             raise ValueError(f"expected header 'k,c_k', got {header!r}")
         for row in reader:
             if not row or not row[0].strip():
                 continue
+            if len(row) < 2:
+                raise ValueError(f"expected a 'k,c_k' row, got {row!r}")
             rows.append((int(row[0]), float(row[1])))
     rows.sort()
     if [k for k, _ in rows] != list(range(len(rows))):
@@ -360,6 +373,26 @@ def _logconvexity_margins(h_eval, pairs):
     return entries
 
 
+def _check_property(kernel_id: str, check: str, margins, tol: float) -> PropertyReport:
+    """The pipeline of both inequality checks. A failed weight precondition
+    gives a skipped report, named without the check's parameter. Otherwise
+    ``margins(h_eval)`` runs twice: on ``_strip_unit``, which checks every
+    point before any quadrature, and on the represented h. The worst entry
+    is the first of those tied at the least margin; margins below -tol
+    fail."""
+    wr = check_weight_nonneg(kernel_id)
+    if not wr.nonnegative:
+        return PropertyReport(kernel_id, check.partition(":")[0], (), math.nan,
+                              (), False, skipped_reason=(
+                                  f"weight nonnegativity precondition failed: "
+                                  f"min {wr.min_weight:.3e} at x={wr.argmin:g}"))
+    margins(_strip_unit(kernel_id))
+    entries = margins(_represented_h(kernel_id, quad_tol=min(1e-10, 1e-2 * tol)))
+    worst = min(entries, key=lambda e: e.margin)
+    return PropertyReport(kernel_id, check, tuple(entries), worst.margin,
+                          worst.point, worst.margin >= -tol)
+
+
 def check_logconvexity(kernel_id: str, pairs, tol: float = 1e-9) -> PropertyReport:
     """h(ax + by) <= h(x)^a h(y)^b with b = 1 - a, h from the engine's own
     integral representation; margins below -tol fail.
@@ -370,18 +403,8 @@ def check_logconvexity(kernel_id: str, pairs, tol: float = 1e-9) -> PropertyRepo
     given order, among those tied at the least margin. Every requested
     point is checked against the representation's strip before any
     quadrature (StripViolationError)."""
-    wr = check_weight_nonneg(kernel_id)
-    if not wr.nonnegative:
-        return PropertyReport(kernel_id, "logconvexity", (), math.nan, (),
-                              False, skipped_reason=(
-                                  f"weight nonnegativity precondition failed: "
-                                  f"min {wr.min_weight:.3e} at x={wr.argmin:g}"))
-    _logconvexity_margins(_strip_unit(kernel_id), pairs)
-    h_eval = _represented_h(kernel_id, quad_tol=min(1e-10, 1e-2 * tol))
-    entries = _logconvexity_margins(h_eval, pairs)
-    worst = min(entries, key=lambda e: e.margin)
-    return PropertyReport(kernel_id, "logconvexity", tuple(entries),
-                          worst.margin, worst.point, worst.margin >= -tol)
+    return _check_property(kernel_id, "logconvexity",
+                           lambda h_eval: _logconvexity_margins(h_eval, pairs), tol)
 
 
 def _supermultiplicative_margins(h_eval, m, pairs):
@@ -404,19 +427,9 @@ def check_supermultiplicative(kernel_id: str, m: float, pairs,
     representation's strip before any quadrature (StripViolationError)."""
     if not m > 0.0:
         raise ValueError(f"shift m must be positive so h(m) is finite, got {m}")
-    wr = check_weight_nonneg(kernel_id)
-    if not wr.nonnegative:
-        return PropertyReport(kernel_id, "supermultiplicative", (), math.nan, (),
-                              False, skipped_reason=(
-                                  f"weight nonnegativity precondition failed: "
-                                  f"min {wr.min_weight:.3e} at x={wr.argmin:g}"))
-    _supermultiplicative_margins(_strip_unit(kernel_id), m, pairs)
-    h_eval = _represented_h(kernel_id, quad_tol=min(1e-10, 1e-2 * tol))
-    entries = _supermultiplicative_margins(h_eval, m, pairs)
-    worst = min(entries, key=lambda e: e.margin)
-    return PropertyReport(kernel_id, f"supermultiplicative:m={m:g}",
-                          tuple(entries), worst.margin, worst.point,
-                          worst.margin >= -tol)
+    return _check_property(kernel_id, f"supermultiplicative:m={m:g}",
+                           lambda h_eval: _supermultiplicative_margins(h_eval, m, pairs),
+                           tol)
 
 
 def grid_pairs(lo: float = 0.2, hi: float = 2.5, n: int = 5, a: float = 0.5):

@@ -5,18 +5,17 @@ The central objects:
 
 * ``Jet`` -- the stack g(k), g'(k), ..., g^(M)(k) of derivatives of a
   coefficient function at a non-negative integer base point.
-* ``shift_operator_apply`` -- [(d/dz + log x)^m g](k), expanded binomially.
-* ``PmPolynomial`` / ``pm_operator_apply`` -- the recursive polynomial family
+* ``shift_row`` -- [(d/dz + log x)^m g](k), expanded binomially.
+* ``PmPolynomial`` / ``pm_row`` -- the recursive polynomial family
   P_1 = 1, P_2 = x, P_m = (x^2 + (m-2)^2 pi^2) P_{m-2} applied to the shift
   operator (the cosecant-power summands).
-* ``residue_from_principal_part`` -- the residue of h(z) g(-z) x^{-z} at
-  z = -k assembled from the principal part of h and a jet of g.
+* ``residue_row`` -- the residue of h(z) g(-z) x^{-z} at z = -k, divided by
+  x^k, assembled from the principal part of h and a jet of g.
 
-Each operator is a polynomial in log x once the jet is fixed. ``shift_row``,
-``pm_row`` and ``residue_row`` return its coefficients, in ascending powers
-of log x, and ``eval_row`` evaluates such a row; the ``*_apply`` functions
-and ``residue_from_principal_part`` are a row evaluated at one x, and the
-series engine keeps the rows of a handle to evaluate them at many.
+Each operator is a polynomial in log x once the jet is fixed: the ``*_row``
+functions return its coefficients, in ascending powers of log x, and
+``eval_row`` evaluates such a row. The series engine keeps the rows of a
+handle to evaluate them at many x.
 """
 
 from __future__ import annotations
@@ -72,9 +71,6 @@ class Jet:
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
                 raise ValueError(f"non-finite jet entry {v!r}")
         object.__setattr__(self, "derivs", tuple(self.derivs))
-
-    def value(self):
-        return self.derivs[0]
 
 
 @dataclass(frozen=True)
@@ -136,11 +132,6 @@ def eval_row(row, log_x: float):
     return acc
 
 
-def shift_operator_apply(jet: Jet, log_x: float, m: int):
-    """[(d/dz + log x)^m g](k) = sum_i C(m, i) g^(i)(k) (log x)^{m-i}."""
-    return eval_row(shift_row(jet, m), log_x)
-
-
 @dataclass(frozen=True)
 class PmPolynomial:
     """Polynomial of the family P_1 = 1, P_2 = x, P_m = (x^2 + (m-2)^2 pi^2) P_{m-2}.
@@ -183,11 +174,6 @@ def pm_row(jet: Jet, m: int) -> tuple:
                      if a != 0.0), m)
 
 
-def pm_operator_apply(jet: Jet, log_x: float, m: int):
-    """[P_m(d/dz + log x) g](k)."""
-    return eval_row(pm_row(jet, m), log_x)
-
-
 def residue_row(pp: PrincipalPart, jet: Jet) -> tuple:
     """The residue of h(z) g(-z) x^{-z} at z = -k, divided by x^k, as a
     row in powers of log x:
@@ -216,18 +202,6 @@ def residue_row(pp: PrincipalPart, jet: Jet) -> tuple:
         sign = -sign
         fact *= j
     return _combine(weighted, pp.order)
-
-
-def residue_from_principal_part(pp: PrincipalPart, jet: Jet, x: float):
-    """Residue of h(z) g(-z) x^{-z} at z = -k: x^k times ``residue_row``
-    evaluated at log x. Returns 0 when the principal part has order 0
-    (pole gap)."""
-    if x <= 0.0:
-        raise ValueError(f"series variable must be positive, got x={x}")
-    row = residue_row(pp, jet)
-    if not row:
-        return 0.0
-    return eval_row(row, math.log(x)) * x ** pp.k
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
-"""Synthesizes the integrand series dictated by the residue data of a kernel,
-estimates the root-test constant L, and evaluates truncated series with tail
-control.
+"""Synthesizes the integrand series dictated by the residue data of a kernel
+and evaluates truncated series with tail control.
 
 Modes, one per kind of summand:
 
@@ -77,8 +76,10 @@ def handle(kernel: KernelFunction, coeff: CoefficientFunction, mode: str = "resi
 
 
 def theorem_radius(coeff: CoefficientFunction) -> Optional[float]:
-    """Convergence radius e^{-P} / L implied by growth metadata (L = 1 for
-    the registered kernels; reported, never enforced)."""
+    """Convergence radius e^{-P} implied by the coefficient's growth
+    metadata (C, P, A). The principal parts of every registered kernel grow
+    at most polynomially in k, so g alone sets the radius of the residue
+    series, and e^{-P} bounds it from below."""
     if coeff.growth_meta is None:
         return None
     _, p, _ = coeff.growth_meta
@@ -104,59 +105,6 @@ def _row(h: SeriesHandle, k: int) -> tuple:
         return tuple(-a for a in row) if (h.m * k) % 2 else row
     pp = h.kernel.principal_part(k)
     return residue_row(pp, h.coeff.jet(k, max(pp.order - 1, 0)))
-
-
-@dataclass(frozen=True)
-class LEstimate:
-    """Root-test constant estimate with a convergence diagnostic."""
-
-    value: float
-    plateau: bool           # False flags a divergent / non-settling sequence
-    radius: Optional[float]  # e^{-P}/value when growth metadata supplies P
-
-
-def estimate_L(h: SeriesHandle, k_max: int) -> LEstimate:
-    """Empirical limit of |Res_{-k}(h) / phi(k)|^{1/k} by Richardson
-    extrapolation of the last five root-test values.
-
-    Only meaningful for simple-pole kernels; pole gaps are skipped.
-    """
-    if k_max < 8:
-        raise ValueError(f"k_max must be >= 8, got {k_max}")
-    if not h.kernel.simple_poles:
-        raise ValueError("estimate_L applies to simple-pole kernels")
-    ks, vals = [], []
-    for k in range(1, k_max + 1):
-        pp = h.kernel.principal_part(k)
-        if pp.order == 0:
-            continue
-        r = abs(pp.residue) / abs(h.kernel.phi_eval(float(k)))
-        if r == 0.0:
-            continue
-        ks.append(k)
-        vals.append(r ** (1.0 / k))
-    if len(vals) < 6:
-        return LEstimate(vals[-1] if vals else float("nan"), False, None)
-
-    def extrapolate(kk, vv):
-        # Neville at 1/k -> 0 (the sequence expands in powers of 1/k)
-        xs = [1.0 / k for k in kk]
-        tab = list(vv)
-        n = len(tab)
-        for level in range(1, n):
-            for i in range(n - level):
-                tab[i] = (tab[i] * xs[i + level] - tab[i + 1] * xs[i]) / (
-                    xs[i + level] - xs[i])
-        return tab[0]
-
-    last = extrapolate(ks[-5:], vals[-5:])
-    prev = extrapolate(ks[-6:-1], vals[-6:-1])
-    plateau = abs(last - prev) <= 5e-3 * max(abs(last), 1e-12)
-    radius = None
-    if h.coeff.growth_meta is not None:
-        _, p, _ = h.coeff.growth_meta
-        radius = math.exp(-p) / last
-    return LEstimate(last, plateau, radius)
 
 
 def sum_series(h: SeriesHandle, x: float, tol: float = DEFAULT_TOL,
@@ -193,14 +141,11 @@ def sum_series(h: SeriesHandle, x: float, tol: float = DEFAULT_TOL,
         f"(mode={h.mode}, kernel={h.kernel.id}, coeff={h.coeff.id})")
 
 
-def eval_series(h: SeriesHandle, x: float, tol: float = DEFAULT_TOL,
-                k_cap: int = DEFAULT_K_CAP, force_series: bool = False):
+def eval_series(h: SeriesHandle, x: float, tol: float = DEFAULT_TOL):
     """Evaluate f(x): the truncated series inside the radius, the registered
     closed form beyond it."""
     if x <= 0.0:
         raise ValueError(f"series variable must be positive, got x={x}")
-    if force_series:
-        return sum_series(h, x, tol, k_cap)
     if h.radius_hint is not None and x > SERIES_USE_FRACTION * h.radius_hint:
         if h.closed_form is not None:
             return h.closed_form(x)
@@ -208,7 +153,7 @@ def eval_series(h: SeriesHandle, x: float, tol: float = DEFAULT_TOL,
             raise RadiusExceededError(
                 f"x={x} is outside the series radius {h.radius_hint} and no "
                 f"closed form is registered (kernel={h.kernel.id})")
-    return sum_series(h, x, tol, k_cap)
+    return sum_series(h, x, tol)
 
 
 def seam_check(h: SeriesHandle, tol: float) -> tuple[float, float]:

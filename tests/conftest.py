@@ -6,6 +6,8 @@ import math
 import pytest
 from hypothesis import settings
 
+from mellinkit.jets import eval_row
+
 # quadrature time varies from run to run, and every run draws the same
 # examples
 settings.register_profile("tier1", deadline=None, derandomize=True)
@@ -24,6 +26,12 @@ def contour_residue(h_eval, g_eval, k, x, radius=0.3, n=512):
         z = -k + radius * cmath.exp(1j * theta)
         acc += h_eval(z) * g_eval(-z) * cmath.exp(-z * lx) * (z + k)
     return acc / n
+
+
+def row_value(row, x, k):
+    """x^k sum_p row[p] (log x)^p: the summand at x > 0 that a row of the
+    series (``jets.residue_row``/``pm_row``/``shift_row``) stands for."""
+    return eval_row(row, math.log(x)) * x ** k
 
 
 def richardson_fd(f, s, order, h0=1e-2, levels=4):

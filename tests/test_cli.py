@@ -61,6 +61,33 @@ class TestUsageErrors:
         assert err.startswith("error:") and "requested h(1.39" in err
 
 
+    @pytest.mark.parametrize("text,msg", [
+        ("", "empty sequence file"),
+        ("k,c_k\n0,1\n1\n", "expected a 'k,c_k' row"),
+    ])
+    def test_malformed_csv(self, capsys, tmp_path, text, msg):
+        path = tmp_path / "seq.csv"
+        path.write_text(text)
+        rc, out, err = _run(capsys, "interp", "--input", str(path),
+                            "--normalization", "raw", "--kernel", "pi_csc",
+                            "--s", "0.3")
+        assert rc == cli.EXIT_USAGE and out == ""
+        assert err.startswith("error:") and msg in err
+
+    @pytest.mark.parametrize("name,msg", [
+        ("exp_neg_x:2", "exp_neg_x takes no parameter"),
+        ("exp_neg_ax", "exp_neg_ax needs a parameter"),
+        ("exp_neg_ax:two", "must be a number"),
+        ("exp_pos_x", "unknown closed form"),
+    ])
+    def test_closed_form_parameter(self, capsys, name, msg):
+        rc, out, err = _run(capsys, "interp", "--input", str(DATA / "geometric.csv"),
+                            "--normalization", "raw", "--closed-form", name,
+                            "--kernel", "pi_csc", "--s", "0.3")
+        assert rc == cli.EXIT_USAGE and out == ""
+        assert err.startswith("error:") and msg in err
+
+
 class TestRepresentationStrip:
     @pytest.mark.parametrize("kernel,specs,bad", [
         ("pi_csc", ["0.5", "1.5"], "h(1.5)"),

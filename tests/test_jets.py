@@ -1,4 +1,5 @@
-"""Tests for jet arithmetic, the P_m polynomials and the residue engine."""
+"""Tests for jet arithmetic, the P_m polynomials and the residue engine:
+the rows of the shift, P_m and residue operators, evaluated in log x."""
 
 import math
 
@@ -8,12 +9,11 @@ from hypothesis import strategies as st
 
 from mellinkit import catalog
 from mellinkit.errors import JetBaseMismatchError, JetOrderError
-from mellinkit.jets import (Jet, PrincipalPart, binomial, pm_operator_apply,
-                            pm_polynomial, residue_from_principal_part,
-                            series_exp, series_product, series_reciprocal,
-                            shift_operator_apply)
+from mellinkit.jets import (Jet, PrincipalPart, binomial, eval_row, pm_polynomial,
+                            pm_row, residue_row, series_exp, series_product,
+                            series_reciprocal, shift_row)
 
-from conftest import contour_residue
+from conftest import contour_residue, row_value
 
 PI2 = math.pi ** 2
 
@@ -30,29 +30,26 @@ class TestJetType:
         with pytest.raises(ValueError):
             Jet(0, 0, (float("inf"),))
 
-    def test_value(self):
-        assert Jet(3, 1, (2.0, 5.0)).value() == 2.0
-
 
 class TestShiftOperator:
     def test_identity_and_first_order(self):
         j = Jet(2, 3, (4.0, -1.0, 7.0, 0.5))
         lx = math.log(3.0)
-        assert shift_operator_apply(j, lx, 0) == 4.0
-        assert shift_operator_apply(j, lx, 1) == pytest.approx(-1.0 + lx * 4.0, rel=1e-15)
+        assert eval_row(shift_row(j, 0), lx) == 4.0
+        assert eval_row(shift_row(j, 1), lx) == pytest.approx(-1.0 + lx * 4.0, rel=1e-15)
 
     def test_binomial_consistency(self):
         # with log x = 0 the operator picks out g^(m)(k) exactly
         j = Jet(0, 4, (1.5, -2.0, 3.25, 0.75, -11.0))
         for m in range(5):
-            assert shift_operator_apply(j, 0.0, m) == j.derivs[m]
+            assert eval_row(shift_row(j, m), 0.0) == j.derivs[m]
 
     def test_sin_gamma_first_order(self):
         # g(z) = sin(pi z) Gamma(z+1): g(k) = 0, g'(k) = pi (-1)^k k!
         g = catalog.coefficient("sin_gamma")
         for k in (0, 1, 2, 5):
             j = g.jet(k, 1)
-            got = shift_operator_apply(j, 0.0, 1)  # x = 1
+            got = eval_row(shift_row(j, 1), 0.0)  # x = 1
             want = math.pi * (-1.0) ** k * math.factorial(k)
             assert got == pytest.approx(want, rel=1e-13)
 
@@ -66,13 +63,13 @@ class TestShiftOperator:
             # (Dg)^(i) = g^(i+1) + lx g^(i)
             dg = Jet(k, 1, (j2.derivs[1] + lx * j2.derivs[0],
                             j2.derivs[2] + lx * j2.derivs[1]))
-            twice = shift_operator_apply(dg, lx, 1)
-            once = shift_operator_apply(j2, lx, 2)
+            twice = eval_row(shift_row(dg, 1), lx)
+            once = eval_row(shift_row(j2, 2), lx)
             assert abs(twice - once) <= 1e-14 * max(1.0, abs(once))
 
     def test_insufficient_order(self):
         with pytest.raises(JetOrderError):
-            shift_operator_apply(Jet(0, 1, (1.0, 0.0)), 0.0, 2)
+            shift_row(Jet(0, 1, (1.0, 0.0)), 2)
 
     @given(st.lists(finite_floats, min_size=4, max_size=4),
            st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
@@ -82,7 +79,7 @@ class TestShiftOperator:
         for m in range(4):
             direct = sum(
                 math.comb(m, i) * derivs[i] * lx ** (m - i) for i in range(m + 1))
-            got = shift_operator_apply(j, lx, m)
+            got = eval_row(shift_row(j, m), lx)
             assert abs(got - direct) <= 1e-9 * max(1.0, abs(direct))
 
 
@@ -109,15 +106,15 @@ class TestPmPolynomials:
         g1 = catalog.coefficient("const_one")
         lx = math.log(2.5)
         j = g1.jet(4, 3)
-        assert pm_operator_apply(j, lx, 1) == 1.0
-        assert pm_operator_apply(j, lx, 2) == pytest.approx(lx, rel=1e-15)
+        assert eval_row(pm_row(j, 1), lx) == 1.0
+        assert eval_row(pm_row(j, 2), lx) == pytest.approx(lx, rel=1e-15)
         # constant jet: P3 gives pi^2 + log^2 x
-        assert pm_operator_apply(j, lx, 3) == pytest.approx(PI2 + lx * lx, rel=1e-15)
+        assert eval_row(pm_row(j, 3), lx) == pytest.approx(PI2 + lx * lx, rel=1e-15)
 
     def test_pm_operator_order_check(self):
         j = Jet(0, 1, (1.0, 0.0))
         with pytest.raises(JetOrderError):
-            pm_operator_apply(j, 0.0, 3)
+            pm_row(j, 3)
 
 
 class TestPrincipalPart:
@@ -139,12 +136,13 @@ class TestResidueEngine:
         pp = PrincipalPart(3, 1, (0.25,))
         j = g.jet(3, 0)
         x = 1.7
-        assert residue_from_principal_part(pp, j, x) == \
+        assert row_value(residue_row(pp, j), x, 3) == \
             pytest.approx(0.25 * 8.0 * x ** 3, rel=1e-14)
 
     def test_pole_gap_returns_zero(self):
         g = catalog.coefficient("const_one")
-        assert residue_from_principal_part(PrincipalPart(2, 0, ()), g.jet(2, 0), 0.3) == 0.0
+        assert residue_row(PrincipalPart(2, 0, ()), g.jet(2, 0)) == ()
+        assert row_value((), 0.3, 2) == 0.0
 
     def test_gamma_squared_formula(self):
         # engine result for h = Gamma^2 equals
@@ -156,7 +154,7 @@ class TestResidueEngine:
         x = 2.25
         for k in (0, 1, 3):
             j = g.jet(k, 1)
-            got = residue_from_principal_part(kern.principal_part(k), j, x)
+            got = row_value(residue_row(kern.principal_part(k), j), x, k)
             fk2 = math.factorial(k) ** 2
             want = x ** k * (
                 -j.derivs[1]
@@ -170,17 +168,17 @@ class TestResidueEngine:
         m, k, x, r = 2, 1, 0.8, -0.5
         pp = PrincipalPart(k, m + 1, (0.0, 0.0, (-1.0) ** m * math.factorial(m) * r))
         j = g.jet(k, m)
-        got = residue_from_principal_part(pp, j, x)
-        want = r * shift_operator_apply(j, math.log(x), m) * x ** k
+        got = row_value(residue_row(pp, j), x, k)
+        want = r * row_value(shift_row(j, m), x, k)
         assert got == pytest.approx(want, rel=1e-14)
 
     def test_base_and_order_errors(self):
         g = catalog.coefficient("const_one")
         pp = PrincipalPart(2, 2, (1.0, 1.0))
         with pytest.raises(JetBaseMismatchError):
-            residue_from_principal_part(pp, g.jet(1, 3), 1.0)
+            residue_row(pp, g.jet(1, 3))
         with pytest.raises(JetOrderError):
-            residue_from_principal_part(pp, g.jet(2, 0), 1.0)
+            residue_row(pp, g.jet(2, 0))
 
     @pytest.mark.parametrize("kernel_id", ["gamma", "gamma_squared", "pi_csc"])
     @pytest.mark.parametrize("coeff_id", ["const_one", "power_a:2", "inv_linear"])
@@ -191,7 +189,7 @@ class TestResidueEngine:
             for x in (0.35, 1.0, 2.6):
                 pp = kern.principal_part(k)
                 j = g.jet(k, max(pp.order - 1, 0))
-                engine = residue_from_principal_part(pp, j, x)
+                engine = row_value(residue_row(pp, j), x, k)
                 oracle = contour_residue(kern.eval, g.eval, k, x)
                 assert abs(engine - oracle) <= 1e-8 * max(1.0, abs(oracle)), \
                     (kernel_id, coeff_id, k, x)

@@ -1,14 +1,11 @@
-"""Tests for series synthesis, the root-test constant and truncated
-evaluation."""
+"""Tests for series synthesis and truncated evaluation."""
 
 import math
 
 import pytest
 
 from mellinkit import catalog, series, specfun
-from mellinkit.catalog import KernelFunction
 from mellinkit.errors import ConvergenceError, RadiusExceededError
-from mellinkit.jets import PrincipalPart
 
 EULER = specfun.EULER_GAMMA
 
@@ -158,49 +155,10 @@ class TestRows:
                 del h
 
 
-class TestEstimateL:
-    def test_gamma_kernel(self):
-        h = simple_handle("gamma", "const_one")
-        est = series.estimate_L(h, 64)
-        assert abs(est.value - 1.0) <= 0.02
-        assert est.plateau
-        assert est.radius == pytest.approx(1.0, abs=0.02)
-
-    def test_pi_csc_kernel(self):
-        est = series.estimate_L(simple_handle("pi_csc", "const_one"), 64)
-        assert abs(est.value - 1.0) <= 0.02
-
-    def test_pole_gap_kernel(self):
-        est = series.estimate_L(simple_handle("gamma_cos_half", "const_one"), 64)
-        assert abs(est.value - 1.0) <= 0.02
-
-    def test_synthetic_doubling_kernel(self):
-        # residues 2^k / k! against phi(k) = -pi/k!: the limit is 2
-        def pp(k):
-            r = 2.0 ** k / math.factorial(k)
-            return PrincipalPart(k, 1, (r,))
-
-        kern = KernelFunction(
-            "synthetic_2k", lambda s: float("nan"), pp,
-            lambda z: -math.pi / specfun.gamma(1.0 + z))
-        h = series.handle(kern, catalog.coefficient("const_one"))
-        est = series.estimate_L(h, 64)
-        assert abs(est.value - 2.0) <= 0.05
-
-    def test_kmax_validation(self):
-        with pytest.raises(ValueError):
-            series.estimate_L(simple_handle("gamma", "const_one"), 4)
-
-    def test_higher_order_kernel_rejected(self):
-        h = simple_handle("gamma_squared", "const_one")
-        with pytest.raises(ValueError):
-            series.estimate_L(h, 32)
-
-
 class TestEvalSeries:
     def test_exponential_sum(self):
         h = simple_handle("gamma", "const_one", closed=lambda x: math.exp(-x))
-        got = series.eval_series(h, 1.0, tol=1e-12, force_series=True)
+        got = series.sum_series(h, 1.0, tol=1e-12)
         assert got == pytest.approx(math.exp(-1.0), rel=1e-12)
         # with the closed form registered, x past the radius switch uses it
         assert series.eval_series(h, 1.0) == math.exp(-1.0)
@@ -241,7 +199,7 @@ class TestEvalSeries:
                 (simple_handle("pi_csc", "const_one"), 1.0 / 1.6, 0.6),
                 (simple_handle("gamma", "const_one"), math.exp(-0.6), 0.6)):
             for tol in (1e-6, 1e-10):
-                got = series.eval_series(handle_, x, tol=tol, force_series=True)
+                got = series.sum_series(handle_, x, tol=tol)
                 assert abs(got - exact) <= 5.0 * tol * abs(exact), (handle_, tol)
 
     def test_nonconvergence_at_cap(self):
