@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import pytest
 
 from mellinkit import catalog, specfun
@@ -16,6 +17,26 @@ ALL_KERNELS = [
     "gamma_squared", "gamma_deriv:1", "gamma_deriv:2",
     "pi_csc_deriv:1", "pi_csc_pow:2", "pi_csc_pow:3",
 ]
+
+
+def _mp_kernel(kid, t):
+    """The kernel at the mpmath number t, from mpmath's own functions."""
+    csc = mpmath.pi / mpmath.sin(mpmath.pi * t)
+    if kid == "pi_csc_deriv:1":
+        return -csc * csc * mpmath.cos(mpmath.pi * t)
+    if kid.startswith("pi_csc"):
+        return csc ** (int(kid.split(":")[1]) if ":" in kid else 1)
+    psi = mpmath.digamma(t)
+    return {
+        "gamma": lambda: mpmath.gamma(t),
+        "psi": lambda: psi,
+        "gamma_cos_half": lambda: mpmath.gamma(t) * mpmath.cos(mpmath.pi * t / 2),
+        "gamma_squared": lambda: mpmath.gamma(t) ** 2,
+        "gamma_deriv:1": lambda: mpmath.gamma(t) * psi,
+        "gamma_deriv:2": lambda: mpmath.gamma(t) * (psi ** 2 + mpmath.psi(1, t)),
+    }[kid]()
+
+
 ALL_COEFFS = ["const_one", "power_a:2", "power_a:0.5",
               "inv_gamma", "sin_gamma", "inv_linear"]
 
@@ -76,6 +97,32 @@ class TestKernelRegistry:
 
 
 class TestKernelInvariants:
+    @pytest.mark.parametrize("kid", ALL_KERNELS)
+    def test_eval_on_left_half_plane_matches_mpmath(self, kid):
+        # off the poles, at distance > 0.1 from the integers
+        k = kernel(kid)
+        for z in (0.35, 1.62, 3.5, 0.4 + 0.3j):
+            got = complex(k.eval(-complex(z)))
+            with mpmath.workdps(30):
+                want = complex(_mp_kernel(kid, -mpmath.mpc(z)))
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (kid, z)
+
+    @pytest.mark.parametrize("kid", ALL_KERNELS)
+    def test_pole_order_and_leading_coefficient_match_mpmath(self, kid):
+        # eps^order h(-n + eps) tends to the leading principal coefficient;
+        # a pole of higher order than recorded would make it blow up
+        k = kernel(kid)
+        eps = mpmath.mpf("1e-12")
+        for n in range(6):
+            pp = k.principal_part(n)
+            with mpmath.workdps(40):
+                scaled = complex(eps ** max(pp.order, 1) * _mp_kernel(kid, -n + eps))
+            if pp.order == 0:
+                assert abs(scaled) <= 1e-9, (kid, n)
+            else:
+                lead = pp.coeffs[pp.order - 1]
+                assert abs(scaled - lead) <= 1e-9 * abs(lead), (kid, n)
+
     @pytest.mark.parametrize("kid", ALL_KERNELS)
     def test_laurent_reconstruction_on_ring(self, kid):
         # eval minus the principal part is analytic near each pole: fitting
