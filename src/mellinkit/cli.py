@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import math
 import sys
 
@@ -196,7 +197,10 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process;
+    every call shares it, so no caller may add to it."""
     p = argparse.ArgumentParser(
         prog="mellinkit",
         description="Numerical Mellin-transform identities of meromorphic kernels")

@@ -28,6 +28,10 @@ class JetBaseMismatchError(MellinkitError, ValueError):
 class UnknownIdError(MellinkitError, KeyError):
     """Lookup of an unregistered kernel, coefficient, identity or closed form."""
 
+    def __str__(self):
+        # the message as given, not quoted as KeyError quotes a missing key
+        return Exception.__str__(self)
+
 
 class RadiusExceededError(MellinkitError, ValueError):
     """Series evaluation requested outside the convergence radius without a

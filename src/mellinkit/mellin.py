@@ -37,14 +37,14 @@ operation over the table. Nodes where it is below -800 are skipped without
 calling f; f is requested once per remaining node, in table order, and the
 evaluation budget is spent once per level. A non-finite value of f, or a
 ValueError/OverflowError/ZeroDivisionError from f, is dropped where the
-weight is below ``_SKIP_FLOOR`` and raises SingularIntegrandError above
-it. The terms w exp((s-1) log x) f(x) are formed as arrays; where
-|Re((s-1) log x)| >= 700 or the product is not finite, the term is formed
-in log space instead (a contribution that overflows raises
-ConvergenceError: the transform diverges at this s). The terms at t and
--t are added first and the pair sums then one after another, the order of
-a scalar trapezoid loop; the oscillatory rule adds its terms in order of
-increasing x.
+weight is below ``_SKIP_FLOOR`` (its neighbours' terms then judge it, see
+the stopping rule) and raises SingularIntegrandError above it. The terms
+w exp((s-1) log x) f(x) are formed as arrays; where |Re((s-1) log x)| >= 700
+or the product is not finite, the term is formed in log space instead (a
+contribution that overflows raises ConvergenceError: the transform diverges
+at this s). The terms at t and -t are added first and the pair sums then
+one after another, the order of a scalar trapezoid loop; the oscillatory
+rule adds its terms in order of increasing x.
 
 Stopping rule. A piece accepts level k only when h <= 1/4 and DE
 convergence is confirmed: the level-to-level difference d_k is at most
@@ -54,9 +54,18 @@ once by chance. Each piece first converges to 0.5 tol relative to itself;
 when the two pieces cancel, so that their errors exceed tol relative to
 their total, the piece with the larger error and then the other are refined
 to 0.5 tol relative to the total (see ``mellin_transform``). A piece fails
-fast where the integral does not exist (e.g. -1/(1 - x) across x = 1): from
-h = 1/256 on, a rejected level whose d_k exceeds sqrt(tol) * |value| and is
-no smaller than d_{k-2} raises ConvergenceError (see ``_Piece.converge``).
+fast where the integral does not exist, by one of two rules (see
+``_Piece.converge``). Where f has a pole that nodes round onto, such as
+-1/(1 - x) at x = 1.0, the non-finite value there is dropped, but the term
+of the next node inward exceeds sqrt(tol) times the level sum and is no
+smaller than the one further in; SingularIntegrandError is then raised at
+that level, from level 0 on (the DE nodes crowd double exponentially toward
+the ends of a piece, Takahasi & Mori, Publ. RIMS 9 (1974) 721-741, so the
+node next to the pole is close to it at every level, and for -1/(1 - x)
+its term stays of the order of the whole sum). Where f hides its pole
+(finite values everywhere), the stall rule ends the piece: from h = 1/256
+on, a rejected level whose d_k exceeds sqrt(tol) * |value| and is no
+smaller than d_{k-2} raises ConvergenceError.
 
 Error estimate. A piece reports err_abs = max(d_k, 16 eps h sum |terms|,
 |f(x0)| x0^Re(s) / Re(s)): the last difference, floored by the rounding
@@ -240,12 +249,15 @@ class _NodeLevel:
     """The nodes one DE level adds to one piece: abscissae x (as an array
     and as Python floats, the form the integrand takes), log x, the
     weights dx/dt and their logarithms, the pair each node belongs to
-    (t and -t form one pair; t = 0 is a pair of its own), and the index
-    and log x of the smallest node."""
+    (t and -t form one pair; t = 0 is a pair of its own), the index and
+    log x of the smallest node, and ``inward``: per node of pair p, the
+    index of the node of pair p - 1 on its side of t = 0 (-1 where the
+    level has none)."""
 
-    __slots__ = ("xs", "x", "lnx", "w", "lw", "pair", "n_pairs", "low", "low_lnx")
+    __slots__ = ("xs", "x", "lnx", "w", "lw", "pair", "n_pairs", "low", "low_lnx",
+                 "inward")
 
-    def __init__(self, nodes: list, n_pairs: int):
+    def __init__(self, nodes: list, n_pairs: int, inward=None):
         columns = [np.array(c, dtype=float) for c in zip(*nodes)] if nodes \
             else [np.empty(0)] * 5
         self.x, self.lnx, self.w, self.lw = columns[:4]
@@ -254,6 +266,7 @@ class _NodeLevel:
         self.xs = self.x.tolist()
         self.low = int(self.lnx.argmin()) if nodes else -1
         self.low_lnx = self.lnx[self.low].item() if nodes else math.inf
+        self.inward = [-1] * len(nodes) if inward is None else inward
 
 
 #: node tables, built on first use and kept for the process: keyed by
@@ -288,7 +301,7 @@ def _node_table(node_fn, level: int) -> _NodeLevel:
     if table is None:
         ts = _level_abscissae(level)
         first = 1 if level == 0 else 0  # t = 0 pairs with no other node
-        nodes = []
+        nodes, row_of = [], {}
         for i, t in enumerate(ts):
             node = node_fn(t)
             if node is None:
@@ -296,8 +309,13 @@ def _node_table(node_fn, level: int) -> _NodeLevel:
             x, lnx, w = node
             if w == 0.0 or x <= 0.0:
                 continue
+            row_of[i] = len(nodes)
             nodes.append((x, lnx, w, math.log(w), (i + first) // 2))
-        table = _TABLES[(node_fn, level)] = _NodeLevel(nodes, (len(ts) + first) // 2)
+        # ts holds each side's pairs 2 entries apart; at level 0, pair 0
+        # (t = 0, index 0) is inward of both sides
+        inward = [row_of.get(0 if first and i == 1 else i - 2, -1) for i in row_of]
+        table = _TABLES[(node_fn, level)] = _NodeLevel(
+            nodes, (len(ts) + first) // 2, inward)
     return table
 
 
@@ -327,18 +345,22 @@ def _pairwise_total(terms: np.ndarray, pair: np.ndarray, n_pairs: int):
     return np.add.accumulate(sums)[-1].item()
 
 
-def _screen(xs: list, fv: np.ndarray, log_pref: np.ndarray) -> np.ndarray:
-    """``fv`` with its non-finite values dropped, or SingularIntegrandError
-    at the first one whose weight is not negligible."""
+def _screen(xs: list, fv: np.ndarray, log_pref: np.ndarray):
+    """(``fv`` with its non-finite values dropped, the mask of the dropped
+    nodes or None if there are none), or SingularIntegrandError at the
+    first non-finite value whose weight is not negligible. A dropped node
+    is judged again once the level's terms are formed
+    (``_Piece._check_dropped``)."""
     bad = ~np.isfinite(fv)
-    if bad.any():
-        for i in np.flatnonzero(bad).tolist():
-            if log_pref[i] > _LOG_SKIP_FLOOR:
-                raise SingularIntegrandError(
-                    f"integrand failed at x={xs[i]!r} where the quadrature "
-                    f"weight exp({log_pref[i]:.2f}) is not negligible")
-        fv[bad] = 0.0  # underflow corner; weight cannot matter
-    return fv
+    if not bad.any():
+        return fv, None
+    for i in np.flatnonzero(bad).tolist():
+        if log_pref[i] > _LOG_SKIP_FLOOR:
+            raise SingularIntegrandError(
+                f"integrand failed at x={xs[i]!r} where the quadrature "
+                f"weight exp({log_pref[i]:.2f}) is not negligible")
+    fv[bad] = 0.0  # its own weight is negligible
+    return fv, bad
 
 
 class _Piece:
@@ -350,11 +372,11 @@ class _Piece:
     log x0 and |f(x0)| at the smallest node x0 evaluated so far, for pieces
     that start at x = 0."""
 
-    __slots__ = ("node_fn", "f", "sm1", "complex_s", "budget", "level", "h",
+    __slots__ = ("node_fn", "f", "sm1", "complex_s", "budget", "tol", "level", "h",
                  "val", "diffs", "abs_sum", "from_zero", "low_lnx", "low_f")
 
-    def __init__(self, node_fn, f, s, budget: _EvalBudget):
-        self.node_fn, self.f, self.budget = node_fn, f, budget
+    def __init__(self, node_fn, f, s, budget: _EvalBudget, tol: float):
+        self.node_fn, self.f, self.budget, self.tol = node_fn, f, budget, tol
         self.sm1 = s - 1.0
         self.complex_s = isinstance(s, complex)
         self.level, self.h = -1, 2.0
@@ -392,7 +414,7 @@ class _Piece:
         if not xs:
             return 0.0, 0.0
         self.budget.spend(len(xs))
-        fv = self._values(xs, log_pref)
+        fv, dropped = self._values(xs, log_pref)
         if self.from_zero and low_lnx < self.low_lnx:
             self.low_lnx, self.low_f = low_lnx, abs(fv[low].item())
         with np.errstate(over="ignore", invalid="ignore"):
@@ -404,14 +426,37 @@ class _Piece:
             for i in np.flatnonzero(~(good | zero)).tolist():
                 terms[i] = _log_space_term(arg[i].item(), lw[i].item(),
                                            fv[i].item(), xs[i])
-        return _pairwise_total(terms, pair, lv.n_pairs), np.abs(terms).sum().item()
+        total = _pairwise_total(terms, pair, lv.n_pairs)
+        if dropped is not None:
+            self._check_dropped(lv, keep, dropped, terms, total)
+        return total, np.abs(terms).sum().item()
 
-    def _values(self, xs: list, log_pref: np.ndarray) -> np.ndarray:
-        """f at every node, in node order. A ValueError, OverflowError or
-        ZeroDivisionError from f counts as a non-finite value; a non-finite
-        value is dropped (0) where the weight is below ``_SKIP_FLOOR`` and
-        raises SingularIntegrandError above it. Any other exception from f
-        propagates, unless an earlier node has already raised."""
+    def _check_dropped(self, lv: _NodeLevel, keep, dropped, terms, total) -> None:
+        """SingularIntegrandError where the terms grow toward a dropped node:
+        the term of its inward neighbour (pair p - 1, same side) exceeds
+        sqrt(tol) |level sum| and is no smaller than the one further in
+        (pair p - 2). Next to a node an integrable f may drop, the weight
+        decays faster than f grows; next to a pole (x rounds to it, f = inf)
+        the term stays large however fine the level."""
+        mag = np.zeros(lv.x.size + 1)  # mag[-1] = 0 stands for "no such node"
+        mag[:-1][keep] = np.abs(terms)
+        floor = math.sqrt(self.tol) * abs(total)
+        for i in np.flatnonzero(keep)[dropped].tolist():
+            inner = lv.inward[i]
+            if inner >= 0 and mag[inner] > floor and mag[inner] >= mag[lv.inward[inner]]:
+                raise SingularIntegrandError(
+                    f"integrand is singular at x={lv.xs[i]!r}: the terms grow toward "
+                    f"the non-finite value dropped there ({mag[inner]:.3e} next to "
+                    f"it at level {self.level}, "
+                    f"{mag[inner] / max(abs(total), 1e-300):.3g} times the level sum)")
+
+    def _values(self, xs: list, log_pref: np.ndarray):
+        """(f at every node, in node order; the mask of dropped nodes or
+        None). A ValueError, OverflowError or ZeroDivisionError from f counts
+        as a non-finite value; a non-finite value is dropped (0) where the
+        weight is below ``_SKIP_FLOOR`` and raises SingularIntegrandError
+        above it. Any other exception from f propagates, unless an earlier
+        node has already raised."""
         f = self.f
         vals = []
         append = vals.append
@@ -458,18 +503,21 @@ class _Piece:
         return (self.h <= 0.25 and self.diffs[-1] <= tol * scale
                 and self.diffs[-2] <= math.sqrt(tol) * scale)
 
-    def converge(self, tol: float) -> "_Piece":
+    def converge(self) -> "_Piece":
         """Refine until convergence relative to the piece's own value.
 
-        The sums of an integrable analytic integrand converge doubly
-        exponentially once h is fine. So from level ``_DE_STALL_LEVEL``
-        (h = 1/256) on, a rejected level whose difference d_k exceeds
-        sqrt(tol) |value| and is no smaller than d_{k-2} raises
-        ConvergenceError, taken to mean that the integral does not exist at
-        this s (e.g. a non-integrable singularity). Coarser levels may not
-        resolve x^{i Im s} yet, and their differences may grow before they
-        shrink."""
-        d = self.diffs
+        Two rules end a piece whose integral does not exist at this s. At
+        any level, from 0 on, terms that grow toward a node dropped as
+        non-finite raise SingularIntegrandError (``_check_dropped``): f has
+        a pole where x rounds onto it, e.g. -1/(1 - x) at the end x = 1 of
+        the lower piece. Where f hides its singularity (finite values
+        everywhere), the stall rule applies: the sums of an integrable
+        analytic integrand converge doubly exponentially once h is fine, so
+        from level ``_DE_STALL_LEVEL`` (h = 1/256) on, a rejected level whose
+        difference d_k exceeds sqrt(tol) |value| and is no smaller than
+        d_{k-2} raises ConvergenceError. Coarser levels may not resolve
+        x^{i Im s} yet, and their differences may grow before they shrink."""
+        d, tol = self.diffs, self.tol
         while True:
             if self.level == _MAX_LEVEL:
                 raise ConvergenceError(
@@ -486,10 +534,10 @@ class _Piece:
                     f"did not shrink from level {self.level - 2} ({d[-3]:.3e}) to "
                     f"level {self.level} ({d[-1]:.3e})")
 
-    def tighten(self, tol: float, scale) -> None:
+    def tighten(self, scale) -> None:
         """Refine until convergence relative to ``scale()``, until the
         differences reach the rounding floor, or up to ``_MAX_LEVEL``."""
-        while not (self.accepts(tol, scale())
+        while not (self.accepts(self.tol, scale())
                    or self.diffs[-1] <= self.rounding()
                    or self.level == _MAX_LEVEL):
             self.refine()
@@ -506,8 +554,8 @@ def mellin_transform(f: Callable[[float], float], s, tol: float = 1e-10,
     refined to 0.5 tol relative to the total. A total of exactly 0 is not
     refined further and reports ``converged=False``."""
     with _EvalBudget(max_evals) as budget:
-        lo = _Piece(_lower_node, f, s, budget).converge(0.5 * tol)
-        hi = _Piece(_upper_node, f, s, budget).converge(0.5 * tol)
+        lo = _Piece(_lower_node, f, s, budget, 0.5 * tol).converge()
+        hi = _Piece(_upper_node, f, s, budget, 0.5 * tol).converge()
 
         def total_scale():
             return abs(lo.val + hi.val)
@@ -516,7 +564,7 @@ def mellin_transform(f: Callable[[float], float], s, tol: float = 1e-10,
             total = total_scale()
             if total == 0.0 or lo.sum_err() + hi.sum_err() <= tol * total:
                 break
-            piece.tighten(0.5 * tol, total_scale)
+            piece.tighten(total_scale)
     value = lo.val + hi.val
     err = lo.err() + hi.err()
     converged = err <= tol * max(abs(value), 1e-300)
@@ -528,7 +576,7 @@ def _scaled_lower_transform(f, s, x_cut: float, budget: _EvalBudget, tol: float)
     def g(y):
         return f(x_cut * y)
 
-    piece = _Piece(_lower_node, g, s, budget).converge(tol)
+    piece = _Piece(_lower_node, g, s, budget, tol).converge()
     scale = cmath.exp(s * math.log(x_cut)) if isinstance(s, complex) \
         else math.exp(s * math.log(x_cut))
     return scale * piece.val, abs(scale) * piece.err()
@@ -563,7 +611,9 @@ def _oscillatory_table(omega: float, level: int) -> _NodeLevel:
 class _OscillatoryPiece(_Piece):
     """Oscillatory DE sums for one s; ``node_fn`` maps a level to its node
     table. The levels are not nested: each is a complete sum, and
-    ``abs_sum``, ``low_lnx`` and ``low_f`` are the last level's."""
+    ``abs_sum``, ``low_lnx`` and ``low_f`` are the last level's. Its tables
+    name no inward neighbours, so a dropped node is judged by its weight
+    alone."""
 
     __slots__ = ()
 
@@ -596,7 +646,7 @@ def mellin_oscillatory(f: Callable[[float], float], s, half_period: float,
         raise ValueError(f"half period must be positive, got {half_period}")
     with _EvalBudget(max_evals) as budget:
         table = functools.partial(_oscillatory_table, math.pi / half_period)
-        piece = _OscillatoryPiece(table, f, s, budget)
+        piece = _OscillatoryPiece(table, f, s, budget, tol)
         while True:
             piece.refine()
             d = piece.diffs

@@ -9,7 +9,7 @@ import mpmath
 import pytest
 
 from mellinkit import cli, harness, mellin
-from mellinkit.errors import StripViolationError
+from mellinkit.errors import SingularIntegrandError, StripViolationError
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -87,6 +87,35 @@ class TestUsageErrors:
         assert rc == cli.EXIT_USAGE and out == ""
         assert err.startswith("error:") and msg in err
 
+    @pytest.mark.parametrize("argv,msg", [
+        (("mellin", "--kernel", "zeta", "--s", "0.3"),
+         "no integral representation registered for 'zeta'"),
+        (("interp", "--input", str(DATA / "geometric.csv"), "--normalization", "raw",
+          "--closed-form", "exp_neg_x:2", "--kernel", "pi_csc", "--s", "0.3"),
+         "closed form exp_neg_x takes no parameter"),
+    ])
+    def test_unknown_id_is_printed_unquoted(self, capsys, no_quadrature, argv, msg):
+        rc, out, err = _run(capsys, *argv)
+        assert rc == cli.EXIT_USAGE and out == ""
+        assert err == f"error: {msg}\n"
+
+
+class TestParser:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_repeated_options_do_not_carry_over(self, capsys):
+        # the parser is shared by every call: --s and --tol-override append
+        # to a list that must start empty each time
+        for s in ("0.3", "0.6"):
+            rc, out, _ = _run(capsys, "mellin", "--kernel", "gamma", "--s", s)
+            assert rc == cli.EXIT_PASS
+            assert [doc["s_re"] for doc in _samples(out)] == [float(s)]
+        parser = cli.build_parser()
+        for item in ("gamma_bernoulli=1e-6", "k0_pi=1e-7"):
+            args = parser.parse_args(["verify-all", "--tol-override", item])
+            assert args.tol_override == [item]
+
 
 class TestRepresentationStrip:
     @pytest.mark.parametrize("kernel,specs,bad", [
@@ -157,18 +186,27 @@ class TestMellinRuns:
                        "without convergence\n")
 
     def test_psi_fails_fast(self, capsys, monkeypatch):
-        # -1/(1 - x) is not integrable across x = 1: the stall rule ends the
-        # lower piece at level 9
-        spent = []
+        # -1/(1 - x) is not integrable across x = 1: the lower piece stops
+        # at level 0, where its nodes round onto the pole
+        spent, raised = [], []
         spend = mellin._EvalBudget.spend
         monkeypatch.setattr(mellin._EvalBudget, "spend",
                             lambda budget, n=1: spent.append(n) or spend(budget, n))
+        check = mellin._Piece._check_dropped
+
+        def spy(piece, *args):
+            try:
+                check(piece, *args)
+            except Exception as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(mellin._Piece, "_check_dropped", spy)
         rc, out, err = _run(capsys, "mellin", "--kernel", "psi", "--s", "0.35")
         assert rc == cli.EXIT_NUMERIC and out == ""
-        assert err.startswith("numeric failure: quadrature did not stabilize")
-        n_max = sum(mellin._node_table(mellin._lower_node, k).x.size
-                    for k in range(10))
-        assert 0 < sum(spent) <= n_max
+        assert [type(exc) for exc in raised] == [SingularIntegrandError]
+        assert err.startswith("numeric failure: integrand is singular at x=1.0:")
+        assert sum(spent) == mellin._node_table(mellin._lower_node, 0).x.size
 
     # --coeff takes the closed form and rule the registry gives the pair
     @pytest.mark.parametrize("kernel,coeff,identity", [
@@ -205,8 +243,8 @@ class TestMellinRuns:
 
 
 def test_default_verify_all_json_is_byte_stable(capsys):
-    # every byte is pinned; the digamma_corollary samples carry the stall
-    # rule's diagnostic from level 9
+    # every byte is pinned; the digamma_corollary samples carry the
+    # diagnostic of the pole at x = 1, from level 0
     rc, out, err = _run(capsys, "verify-all", "--format", "json")
     assert rc == cli.EXIT_PASS and err == ""
     assert out == (DATA / "verify_all.json").read_text()

@@ -99,17 +99,46 @@ class TestMellinTransform:
             mellin_transform(bad, 0.5, tol=1e-9)
 
     def test_divergent_integrand_is_diagnosed(self):
-        # 1/(1-x) is not integrable across x = 1: the lower piece's
+        # 1/(1-x) is not integrable across x = 1. Finite at x = 1.0, it
+        # drops no node, so the stall rule must end it: the lower piece's
         # differences run 2.4e-3, 8.3e-4, 5.1e-2 at levels 7-9, so refinement
         # stops at level 9 instead of _MAX_LEVEL
         n_max = sum(mellin._node_table(mellin._lower_node, k).x.size
                     for k in range(10))
         with pytest.raises(ConvergenceError) as info:
-            mellin_transform(lambda x: 1.0 / (1.0 - x) if x != 1.0 else math.inf,
+            mellin_transform(lambda x: 1.0 / (1.0 - x) if x != 1.0 else 0.0,
                              0.5, tol=1e-9)
         assert str(info.value).startswith("quadrature did not stabilize")
         assert "from level 7 (2.432e-03) to level 9 (5.076e-02)" in str(info.value)
         assert 0 < info.value.n_evals <= n_max
+
+    def test_pole_at_a_dropped_node_fails_at_level_0(self):
+        # where nodes round onto the pole, f = inf is dropped there, and the
+        # terms next to it do not shrink: the lower piece stops at level 0
+        with pytest.raises(SingularIntegrandError) as info:
+            mellin_transform(lambda x: 1.0 / (1.0 - x) if x != 1.0 else math.inf,
+                             0.5, tol=1e-9)
+        assert "singular at x=1.0:" in str(info.value)
+        assert info.value.n_evals == mellin._node_table(mellin._lower_node, 0).x.size
+
+    @pytest.mark.parametrize("s", [0.3, 0.7])
+    def test_integrable_log_singularity_converges(self, s):
+        # log|1 - x| e^-x fails at x = 1.0, where nodes of both pieces round
+        # to; that node is dropped and its neighbours' terms vanish
+        xs = []
+
+        def f(x):
+            xs.append(x)
+            return math.log(abs(1.0 - x)) * math.exp(-x)
+
+        q = mellin_transform(f, s, tol=1e-10)
+        with mpmath.workdps(30):
+            want = float(mpmath.quad(
+                lambda x: x ** (s - 1) * mpmath.log(abs(1 - x)) * mpmath.exp(-x),
+                [0, 1, mpmath.inf]))
+        assert 1.0 in xs
+        assert q.converged
+        assert abs(q.value - want) <= 1e-13 * abs(want)
 
     def test_negative_re_s_with_decaying_tail(self):
         # extended-strip exponents: int x^{s-1} (-x/(1+x)) dx = pi/sin(pi s)
@@ -283,6 +312,13 @@ class TestNodeTables:
                        table.w.tolist(), table.lw.tolist()))
         assert [(g[0],) + g[2:] for g in got] == want
         assert [g[0] for g in got] == [g[1] for g in got]
+        # each node's inward neighbour: one pair closer to t = 0, same side
+        kept = [t for t, n in zip(self.abscissae(level), nodes)
+                if n is not None and n[2] != 0.0 and n[0] > 0.0]
+        step = 1.0 if level == 0 else 2.0 * 0.5 ** level
+        inner = [t - math.copysign(step, t) for t in kept]
+        assert table.inward == [kept.index(u) if t != 0.0 and u * t >= 0.0 and u in kept
+                                else -1 for t, u in zip(kept, inner)]
         assert mellin._node_table(node_fn, level) is table
 
 
@@ -316,7 +352,7 @@ class TestLevelSums:
         def f(x):
             return x * math.exp(-x)
 
-        piece = mellin._Piece(node_fn, f, s, mellin._EvalBudget(10 ** 6))
+        piece = mellin._Piece(node_fn, f, s, mellin._EvalBudget(10 ** 6), 1e-10)
         for want, magnitude in self.scalar_levels(node_fn, f, s, 7):
             piece.refine()
             # the arithmetic differs only in the rounding of exp and the sums
