@@ -49,7 +49,9 @@ class KernelFunction:
 
 @dataclass(frozen=True)
 class CoefficientFunction:
-    """An analytic coefficient function on a right half-plane Re(z) >= -delta."""
+    """An analytic coefficient function on the right half-plane Re(z) > -delta
+    (delta = inf: entire), which bounds a representation's strip to
+    Re(s) < delta."""
 
     id: str
     eval: Callable
@@ -210,7 +212,7 @@ def _coeff_const_one() -> CoefficientFunction:
     def jet(k, order):
         return Jet(k, order, (1.0,) + (0.0,) * order)
 
-    return CoefficientFunction("const_one", lambda z: 1.0, jet,
+    return CoefficientFunction("const_one", lambda z: 1.0, jet, delta=math.inf,
                                growth_meta=(1.0, 0.0, 0.0))
 
 
@@ -233,7 +235,7 @@ def _coeff_power_a(a: float) -> CoefficientFunction:
             p *= ln_a
         return Jet(k, order, tuple(derivs))
 
-    return CoefficientFunction(f"power_a:{a:g}", ev, jet,
+    return CoefficientFunction(f"power_a:{a:g}", ev, jet, delta=math.inf,
                                growth_meta=(1.0, ln_a, 0.0))
 
 
@@ -256,7 +258,8 @@ def _coeff_inv_gamma() -> CoefficientFunction:
         derivs = tuple(scale * coeffs[j] * math.factorial(j) for j in range(order + 1))
         return Jet(k, order, derivs)
 
-    return CoefficientFunction("inv_gamma", ev, jet)
+    # 1/Gamma(1 + z) is entire
+    return CoefficientFunction("inv_gamma", ev, jet, delta=math.inf)
 
 
 def _coeff_sin_gamma() -> CoefficientFunction:
@@ -279,7 +282,9 @@ def _coeff_sin_gamma() -> CoefficientFunction:
         derivs = tuple(fk * prod[j] * math.factorial(j) for j in range(order + 1))
         return Jet(k, order, derivs)
 
-    return CoefficientFunction("sin_gamma", ev, jet)
+    # sin(pi z) Gamma(1 + z) = pi z / Gamma(1 - z) is entire: the zeros of
+    # sin(pi z) cancel the poles of Gamma(1 + z) at z = -1, -2, ...
+    return CoefficientFunction("sin_gamma", ev, jet, delta=math.inf)
 
 
 def _coeff_inv_linear() -> CoefficientFunction:
@@ -295,7 +300,8 @@ def _coeff_inv_linear() -> CoefficientFunction:
             v /= b
         return Jet(k, order, tuple(derivs))
 
-    return CoefficientFunction("inv_linear", ev, jet)
+    # the pole at z = -1 bounds the half-plane
+    return CoefficientFunction("inv_linear", ev, jet, delta=1.0)
 
 
 # ---------------------------------------------------------------------------

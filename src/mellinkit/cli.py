@@ -30,7 +30,7 @@ import sys
 from . import harness, interp
 from .errors import (ConvergenceError, MellinkitError, StripViolationError,
                      UnknownIdError)
-from .mellin import MAX_EVALS, mellin_on_series
+from .mellin import MAX_EVALS, _outcome, mellin_on_series
 # kept as cli.mellin_oscillatory: perfbench/test_perfbench.py checks that
 # the benchmark's tracer restores this binding
 from .mellin import mellin_oscillatory  # noqa: F401
@@ -292,8 +292,9 @@ def _cmd_verify_all(args) -> int:
 
 
 def _mellin_runner(args, tol, grid):
-    """(label, s -> QuadResult) for an identity's lhs or for the series of
-    a kernel and a coefficient (default g = 1). Every s of ``grid`` is
+    """(label, per s of ``grid`` its QuadResult or error) for an identity's
+    lhs, computed in one run, or for the series of a kernel and a
+    coefficient (default g = 1), one transform per s. Every s of ``grid`` is
     checked first: against the identity's strip, with
     ``harness.EDGE_MARGIN`` as in ``verify``, or against the strip of the
     representation."""
@@ -303,23 +304,23 @@ def _mellin_runner(args, tol, grid):
     if args.identity:
         case = harness.get_case(args.identity)
         harness.check_in_strip(case, grid)
-        return f"mellin:{args.identity}", case.lhs(tol, max_evals)
+        return f"mellin:{args.identity}", case.lhs(grid, tol, max_evals)
     coeff = args.coeff or "const_one"
     h = harness.representation_handle(args.kernel, coeff)
     for s in grid:
         harness.check_representable(args.kernel, s, coeff)
     label = f"mellin:{args.kernel}" + (f":{args.coeff}" if args.coeff else "")
-    return label, lambda s: mellin_on_series(h, s, tol, max_evals)
+    return label, (mellin_on_series(h, s, tol, max_evals) for s in grid)
 
 
 def _cmd_mellin(args) -> int:
     tol = _check_tol(args.tol) if args.tol is not None else 1e-10
     grid = _collect_grid(args) or [0.5]
-    label, run = _mellin_runner(args, tol, grid)
+    label, outcomes = _mellin_runner(args, tol, grid)
     samples = []
     any_failed = False
-    for s in grid:
-        q = run(s)
+    for s, q in zip(grid, outcomes):
+        q = _outcome(q)
         if not q.converged:
             any_failed = True
         samples.append(_adhoc_sample(s, q.value, q.err_abs, q.n_evals))

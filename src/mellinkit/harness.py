@@ -36,8 +36,8 @@ from typing import Callable, Optional
 from . import catalog, series, specfun
 from .errors import MellinkitError, StripViolationError, UnknownIdError
 from .jets import pm_polynomial
-from .mellin import (MAX_EVALS, QuadResult, Strip, _memoized, _series_run,
-                     mellin_on_series, mellin_transform)
+from .mellin import (MAX_EVALS, QuadResult, Strip, _outcome, _series_run,
+                     mellin_on_series, mellin_transforms)
 
 PI = math.pi
 
@@ -78,7 +78,7 @@ class IdentityReport:
 @dataclass(frozen=True)
 class IdentityCase:
     id: str
-    lhs: Callable  # (tol, max_evals) -> (s -> QuadResult), one run per verify call
+    lhs: Callable  # (ss, tol, max_evals) -> per s its QuadResult or error, one run
     rhs: Callable  # s -> complex
     strip: Strip
     tags: tuple
@@ -203,7 +203,7 @@ def representation_handle(kernel_id: str, coeff_id: str = "const_one") -> series
 
 
 def _lhs(h: series.SeriesHandle):
-    """(tol, max_evals) -> ``_series_run(h, tol, max_evals)``."""
+    """(ss, tol, max_evals) -> ``_series_run(h, ss, tol, max_evals)``."""
     return functools.partial(_series_run, h)
 
 
@@ -278,10 +278,10 @@ def _build_registry() -> dict:
         note="weight 2 K0(2 sqrt(x))"))
 
     # --- K0 integral: int K0(2 sqrt x)/sqrt x dx = pi/2 at s = 1
-    def k0_lhs(tol, max_evals=MAX_EVALS):
+    def k0_lhs(ss, tol, max_evals=MAX_EVALS):
         # x^{s-1} K0(2 sqrt x)/sqrt x integrates as the shifted transform
-        f = _memoized(lambda x: specfun.bessel_k0(2.0 * math.sqrt(x)))
-        return lambda s: mellin_transform(f, s - 0.5, tol=tol, max_evals=max_evals)
+        return mellin_transforms(lambda x: specfun.bessel_k0(2.0 * math.sqrt(x)),
+                                 [s - 0.5 for s in ss], tol, max_evals)
 
     add(IdentityCase(
         "k0_pi", k0_lhs,
@@ -411,21 +411,19 @@ def check_in_strip(case: IdentityCase, s_grid) -> None:
 
 def _run_samples(case: IdentityCase, s_grid, tol: float) -> IdentityReport:
     check_in_strip(case, s_grid)
-    run = case.lhs(tol)
     samples = []
-    for s in s_grid:
+    for s, q in zip(s_grid, case.lhs(s_grid, tol)):
         rhs_v = complex(case.rhs(s))
-        try:
-            q = run(s)
-            lhs_v = complex(q.value)
-            rel = abs(lhs_v - rhs_v) / max(abs(rhs_v), 1e-300)
-            samples.append(SampleResult(complex(s), lhs_v, rhs_v, rel,
-                                        q.err_abs, q.n_evals, q.converged))
-        except MellinkitError as exc:
+        if isinstance(q, MellinkitError):
             samples.append(SampleResult(
                 complex(s), complex(float("nan"), 0.0), rhs_v,
-                float("inf"), float("inf"), getattr(exc, "n_evals", 0), False,
-                error=f"{type(exc).__name__}: {exc}"))
+                float("inf"), float("inf"), getattr(q, "n_evals", 0), False,
+                error=f"{type(q).__name__}: {q}"))
+            continue
+        lhs_v = complex(_outcome(q).value)
+        rel = abs(lhs_v - rhs_v) / max(abs(rhs_v), 1e-300)
+        samples.append(SampleResult(complex(s), lhs_v, rhs_v, rel,
+                                    q.err_abs, q.n_evals, q.converged))
     samples.sort(key=lambda r: (r.s.real, r.s.imag))
     finite = [r.rel_err for r in samples if r.ok]
     max_rel = max(finite) if finite else float("inf")

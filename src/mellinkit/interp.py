@@ -32,7 +32,7 @@ import numpy as np
 from . import catalog, harness, series
 from .errors import (KernelZeroError, StripViolationError,
                      TailCertificationError, UnknownIdError)
-from .mellin import (MAX_EVALS, _EvalBudget, _scaled_lower_transform,
+from .mellin import (MAX_EVALS, _EvalBudget, _outcome, _scaled_lower_transform,
                      _series_run, mellin_transform)
 
 NORMALIZATIONS = ("raw", "factorial")
@@ -318,29 +318,32 @@ def check_weight_nonneg(kernel_id: str, samples=None) -> WeightReport:
     return WeightReport(kernel_id, best, arg, best >= -1e-12)
 
 
-def _strip_unit(kernel_id: str):
+def _strip_unit(kernel_id: str, points: list):
     """h = 1 on the strip where the kernel's representation converges;
-    raises StripViolationError for a point outside it. A margins pass with
-    it checks every point a check will request, in the order it requests
-    them, before any quadrature."""
+    raises StripViolationError for a point outside it, and appends every
+    point it is asked for to ``points``. A margins pass with it checks and
+    lists every point a check will request, in the order it requests them,
+    before any quadrature."""
     def unit(t: float) -> float:
         harness.check_representable(kernel_id, t)
+        points.append(t)
         return 1.0
 
     return unit
 
 
-def _represented_h(kernel_id: str, quad_tol: float):
-    """h through the kernel's integral representation, one run per check;
-    the caller has checked the points against the strip (``_strip_unit``)."""
-    run = _series_run(harness.representation_handle(kernel_id), quad_tol)
-    cache: dict = {}
+def _represented_h(kernel_id: str, points: list, quad_tol: float):
+    """h through the kernel's integral representation at every point of
+    ``points`` (checked against the strip by ``_strip_unit``), computed in
+    one run; a point whose transform failed raises its error when asked
+    for."""
+    points = list(dict.fromkeys(points))
+    out = dict(zip(points, _series_run(harness.representation_handle(kernel_id),
+                                       points, quad_tol)))
 
     def h_eval(t: float) -> float:
-        if t not in cache:
-            val = run(t).value
-            cache[t] = val.real if isinstance(val, complex) else val
-        return cache[t]
+        val = _outcome(out[t]).value
+        return val.real if isinstance(val, complex) else val
 
     return h_eval
 
@@ -376,8 +379,10 @@ def _logconvexity_margins(h_eval, pairs):
 def _check_property(kernel_id: str, check: str, margins, tol: float) -> PropertyReport:
     """The pipeline of both inequality checks. A failed weight precondition
     gives a skipped report, named without the check's parameter. Otherwise
-    ``margins(h_eval)`` runs twice: on ``_strip_unit``, which checks every
-    point before any quadrature, and on the represented h. The worst entry
+    ``margins(h_eval)`` runs twice: on ``_strip_unit``, which checks and
+    lists every point before any quadrature, and on the represented h,
+    computed at all those points in one run; the first error in request
+    order is the one raised. The worst entry
     is the first of those tied at the least margin; margins below -tol
     fail."""
     wr = check_weight_nonneg(kernel_id)
@@ -386,8 +391,9 @@ def _check_property(kernel_id: str, check: str, margins, tol: float) -> Property
                               (), False, skipped_reason=(
                                   f"weight nonnegativity precondition failed: "
                                   f"min {wr.min_weight:.3e} at x={wr.argmin:g}"))
-    margins(_strip_unit(kernel_id))
-    entries = margins(_represented_h(kernel_id, quad_tol=min(1e-10, 1e-2 * tol)))
+    points = []
+    margins(_strip_unit(kernel_id, points))
+    entries = margins(_represented_h(kernel_id, points, min(1e-10, 1e-2 * tol)))
     worst = min(entries, key=lambda e: e.margin)
     return PropertyReport(kernel_id, check, tuple(entries), worst.margin,
                           worst.point, worst.margin >= -tol)

@@ -32,19 +32,25 @@ x <= 0. ``_oscillatory_table`` tabulates every node of the oscillatory
 rule per omega and level (its levels are not nested: M changes with h).
 A table is built on first use and kept for the process.
 
-Level sums. For one s and one level, Re((s-1) log x) + log w is one array
-operation over the table. Nodes where it is below -800 are skipped without
-calling f; f is requested once per remaining node, in table order, and the
-evaluation budget is spent once per level. A non-finite value of f, or a
+Level sums. A piece holds one row per s of a run and refines its rows
+level by level in one pass over those still active; a row leaves the pass
+when it accepts a level or fails. Per level, Re((s-1) log x) + log w is one
+matrix over the active rows, one for real s and one for complex s (a real s
+keeps its real ``exp``). A row skips the nodes where it is below -800
+without calling f, and spends its evaluation budget once per level on the
+nodes it keeps. f is evaluated once per node that any row keeps (see
+Shared integrand). A non-finite value of f, or a
 ValueError/OverflowError/ZeroDivisionError from f, is dropped where the
-weight is below ``_SKIP_FLOOR`` (its neighbours' terms then judge it, see
-the stopping rule) and raises SingularIntegrandError above it. The terms
-w exp((s-1) log x) f(x) are formed as arrays; where |Re((s-1) log x)| >= 700
-or the product is not finite, the term is formed in log space instead (a
-contribution that overflows raises ConvergenceError: the transform diverges
-at this s). The terms at t and -t are added first and the pair sums then
-one after another, the order of a scalar trapezoid loop; the oscillatory
-rule adds its terms in order of increasing x.
+row's weight is below ``_SKIP_FLOOR`` (its neighbours' terms then judge it,
+see the stopping rule) and raises SingularIntegrandError for that row above
+it. The terms w exp((s-1) log x) f(x) are formed as one matrix; where
+|Re((s-1) log x)| >= 700 or a term is not finite, it is formed in log space
+instead (a contribution that overflows raises ConvergenceError: the
+transform diverges at this s). Each row adds its kept terms at t and -t
+first and then the pair sums one after another, the order of a scalar
+trapezoid loop (one offset ``bincount`` for all rows); the oscillatory rule
+adds its terms in order of increasing x. Every row keeps its own sums,
+budget and errors, so its outcome is bit for bit that of its s alone.
 
 Stopping rule. A piece accepts level k only when h <= 1/4 and DE
 convergence is confirmed: the level-to-level difference d_k is at most
@@ -53,7 +59,7 @@ difference has been shrinking doubly exponentially rather than being small
 once by chance. Each piece first converges to 0.5 tol relative to itself;
 when the two pieces cancel, so that their errors exceed tol relative to
 their total, the piece with the larger error and then the other are refined
-to 0.5 tol relative to the total (see ``mellin_transform``). A piece fails
+to 0.5 tol relative to the total (see ``mellin_transforms``). A piece fails
 fast where the integral does not exist, by one of two rules (see
 ``_Piece.converge``). Where f has a pole that nodes round onto, such as
 -1/(1 - x) at x = 1.0, the non-finite value there is dropped, but the term
@@ -79,16 +85,20 @@ registered identities).
 
 Shared integrand. ``_series_run`` is the one run builder: one
 ``harness.verify`` call, property check or ad-hoc transform is one run over
-many s on one series handle. The half period rides on the handle (f is then
-the closed form, under ``mellin_oscillatory``). A run checks the seam once,
-passes its evaluation budget to every transform, and computes f once per
-node, sharing the value across its s: ``_memoized`` maps each node x to
-f(x), or to the exception f raised there, which it raises afresh (same
-class, same message, a new object) on every later request. The memo belongs to the run that built it and dies with it, and
-it holds at most one entry per node of both pieces up to ``_MAX_LEVEL``
-(about 57k). A value for one s does not depend on which other s share its
-run: f is a deterministic function of x, and each s keeps its own level
-sums, underflow skips, evaluation budget and errors.
+many s on one series handle, and ``mellin_transforms`` (of which
+``mellin_transform`` is the one-s case) the one DE pass. The half period
+rides on the handle (f is then the closed form, under
+``mellin_oscillatory``, one call per s). A run checks the seam once, gives
+every s its own evaluation budget, and keeps f's values in ``_Values``, per
+node table; an abscissa that several tables share (far out, many nodes of
+both DE pieces round to x = 1.0) is evaluated for one of them and looked up
+by the others, so f is called once per distinct abscissa across the levels,
+the pieces and the s. An exception f raises at a node
+is kept with it; each row that uses the node gets it, the first the
+exception itself and the others a fresh one of the same class and
+arguments. The values belong to the run and die with it. A value for one s
+does not depend on which other s share its run: f is a deterministic
+function of x.
 """
 
 from __future__ import annotations
@@ -159,9 +169,7 @@ class Strip:
 
 
 class _EvalBudget:
-    """Evaluations one transform spent. Used as a context manager, it
-    attaches that count as ``n_evals`` to a ``MellinkitError`` leaving the
-    block, so a failed transform still reports what it cost."""
+    """Evaluations one transform spent, against its cap."""
 
     __slots__ = ("used", "cap")
 
@@ -175,49 +183,12 @@ class _EvalBudget:
             raise ConvergenceError(
                 f"evaluation budget of {self.cap} exhausted without convergence")
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, cls, exc, tb):
+    def charge(self, exc: BaseException) -> BaseException:
+        """``exc``, carrying the count so far as ``n_evals`` if it is a
+        ``MellinkitError``, so a failed transform still reports its cost."""
         if isinstance(exc, MellinkitError):
             exc.n_evals = self.used
-        return False
-
-
-class _Raised:
-    """An exception an integrand raised, kept as its class and arguments."""
-
-    __slots__ = ("cls", "args")
-
-    def __init__(self, exc: Exception):
-        self.cls, self.args = type(exc), exc.args
-
-
-def _memoized(f: Callable[[float], float]) -> Callable[[float], float]:
-    """``f`` evaluated at most once per distinct x.
-
-    Each outcome is kept for the life of the returned callable: the value,
-    or the exception ``f`` raised, which every request raises afresh (same
-    class and message, a new object each time, so no two transforms share
-    one exception)."""
-    values: dict = {}
-    raised: dict = {}
-
-    def memo(x):
-        try:
-            return values[x]
-        except KeyError:
-            pass
-        out = raised.get(x)
-        if out is None:
-            try:
-                values[x] = value = f(x)
-                return value
-            except Exception as exc:  # replayed below on every request
-                out = raised[x] = _Raised(exc)
-        raise out.cls(*out.args)
-
-    return memo
+        return exc
 
 
 def _lower_node(t: float):
@@ -245,17 +216,30 @@ def _upper_node(t: float):
     return 1.0 + e, math.log1p(e), PI_HALF * math.cosh(t) * e
 
 
+#: every distinct abscissa of the node tables built so far, numbered in the
+#: order it first appeared
+_NODE_IDS: dict = {}
+#: node number -> [(table, first node of the table with it), ...]
+_NODE_HOMES: dict = {}
+
+
 class _NodeLevel:
     """The nodes one DE level adds to one piece: abscissae x (as an array
     and as Python floats, the form the integrand takes), log x, the
     weights dx/dt and their logarithms, the pair each node belongs to
     (t and -t form one pair; t = 0 is a pair of its own), the index and
-    log x of the smallest node, and ``inward``: per node of pair p, the
+    log x of the smallest node, ``inward``: per node of pair p, the
     index of the node of pair p - 1 on its side of t = 0 (-1 where the
-    level has none)."""
+    level has none), ``gid``: each node's number in ``_NODE_IDS``,
+    ``first_of``: the first node of the level with the same abscissa
+    (``uniq`` lists those nodes, ``uniq_xs`` and ``uniq_gid`` their
+    abscissae and numbers, ``uniq_inv`` each node's place among them, None
+    where all differ), ``cross``: the places among them of the abscissae
+    that other tables have too, and the largest |log x|."""
 
     __slots__ = ("xs", "x", "lnx", "w", "lw", "pair", "n_pairs", "low", "low_lnx",
-                 "inward")
+                 "inward", "gid", "first_of", "uniq", "uniq_xs", "uniq_gid", "uniq_inv",
+                 "cross", "max_abs_lnx", "_bins")
 
     def __init__(self, nodes: list, n_pairs: int, inward=None):
         columns = [np.array(c, dtype=float) for c in zip(*nodes)] if nodes \
@@ -267,6 +251,36 @@ class _NodeLevel:
         self.low = int(self.lnx.argmin()) if nodes else -1
         self.low_lnx = self.lnx[self.low].item() if nodes else math.inf
         self.inward = [-1] * len(nodes) if inward is None else inward
+        ids = _NODE_IDS
+        gid = [ids.setdefault(x, len(ids)) for x in self.xs]
+        self.gid = np.array(gid, dtype=np.intp)
+        first = {}
+        self.first_of = np.array([first.setdefault(g, i) for i, g in enumerate(gid)],
+                                 dtype=np.intp)
+        self.uniq = np.array(sorted(first.values()), dtype=np.intp)
+        self.uniq_xs = self.x[self.uniq].tolist()
+        self.uniq_gid = [gid[i] for i in self.uniq.tolist()]
+        self.uniq_inv = None if self.uniq.size == len(gid) else \
+            np.searchsorted(self.uniq, self.first_of)
+        self.cross = set()
+        for k, (g, i) in enumerate(zip(self.uniq_gid, self.uniq.tolist())):
+            homes = _NODE_HOMES.setdefault(g, [])
+            for table, j in homes:
+                self.cross.add(k)
+                table.cross.add(int(np.searchsorted(table.uniq, j)))
+            homes.append((self, i))
+        self.max_abs_lnx = float(np.abs(self.lnx).max()) if nodes else 0.0
+        self._bins = {}
+
+    def bins(self, n: int) -> np.ndarray:
+        """The bin of each node's term for ``n`` rows: row i's pair p is
+        bin i * n_pairs + p."""
+        bins = self._bins.get(n)
+        if bins is None:
+            bins = np.arange(n)[:, None] * self.n_pairs + self.pair
+            if bins.size <= 1 << 16:
+                self._bins[n] = bins
+        return bins
 
 
 #: node tables, built on first use and kept for the process: keyed by
@@ -319,6 +333,178 @@ def _node_table(node_fn, level: int) -> _NodeLevel:
     return table
 
 
+_LOWER = functools.partial(_node_table, _lower_node)
+_UPPER = functools.partial(_node_table, _upper_node)
+
+
+class _TableValues:
+    """f at the nodes of one table for one run: ``fv`` per node (0 where not
+    evaluated), ``done`` the nodes evaluated (None: all of them), and
+    ``cplx`` where f returned a complex (None: nowhere)."""
+
+    __slots__ = ("fv", "done", "cplx")
+
+    def __init__(self, fv, done=None, cplx=None):
+        self.fv, self.done, self.cplx = fv, done, cplx
+
+
+_MISSING = object()
+
+
+class _Values:
+    """f at the nodes of one run, evaluated once per distinct abscissa: per
+    node table, the values at its nodes (``_TableValues``); an abscissa that
+    several tables share (far out, nodes of every level of both DE pieces
+    round to x = 1.0) is evaluated by the first of them and looked up by the
+    others (``shared``).
+
+    A ValueError, OverflowError or ZeroDivisionError from f is kept as nan,
+    as a non-finite value is. Any other exception is kept, by node number,
+    as raised: the first row that uses its node gets it, every later one a
+    fresh exception of the same class and arguments."""
+
+    __slots__ = ("tables", "shared", "raised")
+
+    def __init__(self):
+        self.tables: dict = {}
+        self.shared: dict = {}  # node number -> f there
+        self.raised: dict = {}  # node number -> [exception, handed out yet]
+
+    def raised_at(self, lv: _NodeLevel) -> np.ndarray:
+        """Which nodes of ``lv`` hold an exception."""
+        return np.isin(lv.gid, list(self.raised))
+
+    def take(self, node: int) -> Exception:
+        """The exception f raised at node number ``node``, for one row."""
+        held = self.raised[node]
+        if held[1]:
+            return type(held[0])(*held[0].args)
+        held[1] = True
+        return held[0]
+
+    def fill(self, f, lv: _NodeLevel, keep) -> _TableValues:
+        """f at the nodes of ``lv`` that the rows need. ``keep`` masks the
+        nodes each row keeps (None: every row keeps every node); a row needs
+        them up to the first whose f raised. f is called, in table order,
+        once per abscissa needed and not evaluated yet."""
+        ent = self.tables.get(lv)
+        if ent is None and keep is None and not self.raised:
+            places = range(len(lv.uniq_xs))
+            vals = self._evaluate(f, lv, places)
+            if len(vals) == len(places):
+                fv = np.array(vals)
+                cplx = None
+                if fv.dtype.kind == "c":
+                    cplx = np.array([np.iscomplexobj(v) for v in vals])
+                if lv.uniq_inv is not None:
+                    fv, cplx = fv[lv.uniq_inv], None if cplx is None else cplx[lv.uniq_inv]
+                ent = self.tables[lv] = _TableValues(fv, None, cplx)
+                return ent
+            self._store(lv, places, vals)
+        while True:
+            ent = self.tables.get(lv)
+            if ent is not None and ent.done is None:
+                return ent
+            need = np.ones((1, lv.x.size), dtype=bool) if keep is None else keep
+            if self.raised:
+                need = need & (np.cumsum(need & self.raised_at(lv), axis=1) == 0)
+            need = need.any(axis=0)
+            if ent is not None:
+                need &= ~ent.done
+            inv = lv.uniq_inv
+            places = np.unique(need.nonzero()[0] if inv is None else inv[need]).tolist()
+            if not places:
+                return ent if ent is not None else self._store(lv, [], [])
+            vals = self._evaluate(f, lv, places)
+            ent = self._store(lv, places, vals)
+            if len(vals) == len(places):
+                return ent
+
+    def _store(self, lv: _NodeLevel, places, vals: list) -> _TableValues:
+        """Enter f at the first ``len(vals)`` of ``places`` (places among the
+        distinct abscissae of ``lv``) into the run's values of ``lv``."""
+        ent = self.tables.get(lv)
+        n = lv.x.size
+        if ent is None:
+            ent = self.tables[lv] = _TableValues(np.zeros(n), np.zeros(n, dtype=bool))
+        got = np.zeros(len(lv.uniq_xs), dtype=bool)
+        got[list(places[:len(vals)])] = True
+        fv = np.zeros(got.size)
+        if vals:
+            new = np.array(vals)
+            if new.dtype.kind == "c":
+                fv = fv.astype(complex)
+                if ent.cplx is None:
+                    ent.fv, ent.cplx = ent.fv.astype(complex), np.zeros(n, dtype=bool)
+                flags = np.zeros(got.size, dtype=bool)
+                flags[got] = [np.iscomplexobj(v) for v in vals]
+            fv[got] = new
+        inv = np.arange(n) if lv.uniq_inv is None else lv.uniq_inv
+        nodes = got[inv]
+        ent.fv[nodes] = fv[inv][nodes]
+        if vals and new.dtype.kind == "c":
+            ent.cplx[nodes] = flags[inv][nodes]
+        ent.done |= nodes
+        if ent.done.all():
+            ent.done = None
+        return ent
+
+    def _evaluate(self, f, lv: _NodeLevel, places) -> list:
+        """f at ``places`` (places among the distinct abscissae of ``lv``, in
+        order: a range from 0, or a list), stopping at one where f raised
+        (other than as nan): the values before it. An abscissa other tables
+        share is looked up where another table of the run has it, and kept
+        for them otherwise."""
+        if isinstance(places, range):
+            pts, cuts = lv.uniq_xs, sorted(lv.cross)
+        else:
+            pts = [lv.uniq_xs[k] for k in places]
+            cuts = [i for i, k in enumerate(places) if k in lv.cross]
+        vals = []
+        append = vals.append
+        for c in cuts + [len(pts)]:
+            while len(vals) < c:
+                try:
+                    for x in pts[len(vals):c]:
+                        append(f(x))
+                except (ValueError, OverflowError, ZeroDivisionError):
+                    append(math.nan)
+                except Exception as exc:  # handed to every row that uses the node
+                    self.raised[lv.uniq_gid[places[len(vals)]]] = [exc, False]
+                    return vals
+            if c == len(pts):
+                return vals
+            g = lv.uniq_gid[places[c]]
+            if g in self.raised:
+                return vals
+            v = self._shared(g)
+            if v is _MISSING:
+                try:
+                    v = f(pts[c])
+                except (ValueError, OverflowError, ZeroDivisionError):
+                    v = math.nan
+                except Exception as exc:  # handed to every row that uses the node
+                    self.raised[g] = [exc, False]
+                    return vals
+                self.shared[g] = v
+            append(v)
+        return vals
+
+    def _shared(self, g: int):
+        """f at node number ``g`` if the run has it, else ``_MISSING``."""
+        v = self.shared.get(g, _MISSING)
+        if v is _MISSING:
+            for table, i in _NODE_HOMES[g]:
+                ent = self.tables.get(table)
+                if ent is not None and (ent.done is None or ent.done[i]):
+                    v = ent.fv[i].item()
+                    if ent.cplx is not None and not ent.cplx[i]:
+                        v = v.real
+                    self.shared[g] = v
+                    break
+        return v
+
+
 def _log_space_term(arg, lw: float, fv, x: float):
     # extreme exponents (extended strips): combine in log space
     if isinstance(arg, complex) or isinstance(fv, complex):
@@ -333,181 +519,300 @@ def _log_space_term(arg, lw: float, fv, x: float):
     return math.copysign(math.exp(total), fv)
 
 
-def _pairwise_total(terms: np.ndarray, pair: np.ndarray, n_pairs: int):
-    """The sum of a level's terms, in node order: each pair t, -t summed
-    first, then the pair sums one after another."""
-    if terms.dtype.kind == "c":
-        sums = np.empty(n_pairs, dtype=complex)
-        sums.real = np.bincount(pair, terms.real, n_pairs)
-        sums.imag = np.bincount(pair, terms.imag, n_pairs)
-    else:
-        sums = np.bincount(pair, terms, n_pairs)
-    return np.add.accumulate(sums)[-1].item()
-
-
-def _screen(xs: list, fv: np.ndarray, log_pref: np.ndarray):
-    """(``fv`` with its non-finite values dropped, the mask of the dropped
-    nodes or None if there are none), or SingularIntegrandError at the
-    first non-finite value whose weight is not negligible. A dropped node
-    is judged again once the level's terms are formed
-    (``_Piece._check_dropped``)."""
-    bad = ~np.isfinite(fv)
-    if not bad.any():
-        return fv, None
-    for i in np.flatnonzero(bad).tolist():
+def _screened(lv: _NodeLevel, nodes: np.ndarray, bad: np.ndarray, log_pref: np.ndarray):
+    """SingularIntegrandError at the first of ``nodes`` (one row's, in
+    table order) whose f is not finite and whose weight is not negligible,
+    or None: the others are dropped, to be judged again once the level's
+    terms are formed (``_Piece._check_dropped``). ``bad`` is the mask of
+    non-finite values, None if there are none."""
+    if bad is None:
+        return None
+    for i in nodes[bad[nodes]].tolist():
         if log_pref[i] > _LOG_SKIP_FLOOR:
-            raise SingularIntegrandError(
-                f"integrand failed at x={xs[i]!r} where the quadrature "
+            return SingularIntegrandError(
+                f"integrand failed at x={lv.xs[i]!r} where the quadrature "
                 f"weight exp({log_pref[i]:.2f}) is not negligible")
-    fv[bad] = 0.0  # its own weight is negligible
-    return fv, bad
+    return None
+
+
+class _Rows:
+    """The s of one run, one row each, and what every piece of the run
+    keeps per row: its evaluation budget and the error that ended it
+    (None while it runs)."""
+
+    __slots__ = ("sm1", "reach", "complex_s", "mixed", "budgets", "errors")
+
+    def __init__(self, ss: list, budgets: list):
+        self.sm1 = [s - 1.0 for s in ss]
+        self.reach = [abs(a.real) for a in self.sm1]  # |Re (s-1)|
+        self.complex_s = [isinstance(s, complex) for s in ss]
+        self.mixed = 0 < sum(self.complex_s) < len(ss)
+        self.budgets = budgets
+        self.errors = [None] * len(ss)
+
+    def fail(self, r: int, exc: BaseException) -> None:
+        self.errors[r] = self.budgets[r].charge(exc)
 
 
 class _Piece:
-    """Trapezoid sums of one DE piece for one s, refined level by level.
+    """Trapezoid sums of one DE piece, one row per s of a run, refined
+    level by level; ``table(level)`` gives a level's nodes.
 
-    ``val`` is the sum at the last level, ``diffs`` the level-to-level
-    differences (``diffs[0]`` is |val| at level 0), ``abs_sum`` the sum
-    of |term| over every node so far, and ``low_lnx`` and ``low_f`` are
-    log x0 and |f(x0)| at the smallest node x0 evaluated so far, for pieces
-    that start at x = 0."""
+    Per row r, ``val[r]`` is the sum at its last level, ``diffs[r]`` the
+    level-to-level differences (``diffs[r][0]`` is |val| at level 0),
+    ``abs_sum[r]`` the sum of |term| over every node so far, and
+    ``low_lnx[r]`` and ``low_f[r]`` are log x0 and |f(x0)| at the smallest
+    node x0 evaluated so far, for pieces that start at x = 0. A row that
+    raises leaves the piece with its error in ``rows.errors``."""
 
-    __slots__ = ("node_fn", "f", "sm1", "complex_s", "budget", "tol", "level", "h",
-                 "val", "diffs", "abs_sum", "from_zero", "low_lnx", "low_f")
+    __slots__ = ("table", "from_zero", "f", "rows", "tol", "values", "level",
+                 "val", "diffs", "abs_sum", "low_lnx", "low_f")
 
-    def __init__(self, node_fn, f, s, budget: _EvalBudget, tol: float):
-        self.node_fn, self.f, self.budget, self.tol = node_fn, f, budget, tol
-        self.sm1 = s - 1.0
-        self.complex_s = isinstance(s, complex)
-        self.level, self.h = -1, 2.0
-        self.val, self.diffs, self.abs_sum = 0.0, [], 0.0
-        self.from_zero = node_fn is not _upper_node  # every other piece starts at 0
-        self.low_lnx, self.low_f = math.inf, 0.0
+    def __init__(self, table, from_zero: bool, f, rows: _Rows, tol: float,
+                 values: _Values):
+        self.table, self.from_zero, self.f, self.rows = table, from_zero, f, rows
+        self.tol, self.values = tol, values
+        n = len(rows.sm1)
+        self.level = [-1] * n
+        self.val = [0.0] * n
+        self.diffs = [[] for _ in range(n)]
+        self.abs_sum = [0.0] * n
+        self.low_lnx = [math.inf] * n
+        self.low_f = [0.0] * n
 
-    def refine(self):
-        """Add the next level's nodes."""
-        self.level += 1
-        self.h *= 0.5
-        add, abs_add = self._level_sum(_node_table(self.node_fn, self.level))
-        val = self.val * 0.5 + add * self.h
-        self.diffs.append(abs(val - self.val) if self.level else abs(val))
-        self.val = val
-        self.abs_sum += abs_add
+    def refine(self, rows: list) -> None:
+        """Add the next level's nodes to each row of ``rows``, which are at
+        one level."""
+        level = self.level[rows[0]] + 1
+        for r in rows:
+            self.level[r] = level
+        h = 0.5 ** level
+        for r, (add, abs_add) in self._level_sums(rows, self.table(level)).items():
+            val = self.val[r] * 0.5 + add * h
+            self.diffs[r].append(abs(val - self.val[r]) if level else abs(val))
+            self.val[r] = val
+            self.abs_sum[r] += abs_add
 
-    def _level_sum(self, lv: _NodeLevel):
-        """(sum of the level's terms, sum of their magnitudes)."""
-        arg = self.sm1 * lv.lnx
-        re_arg = arg.real if self.complex_s else arg
-        log_pref = re_arg + lv.lw
+    def _level_sums(self, rows: list, lv: _NodeLevel) -> dict:
+        """r -> (sum of the level's terms, sum of their magnitudes) for each
+        row of ``rows`` that did not fail: one block of rows for real s and
+        one for complex s, each summed as one matrix."""
+        sums = {}
+        if not lv.xs:
+            return dict.fromkeys(rows, (0.0, 0.0))
+        if not self.rows.mixed:
+            self._block_sums(rows, lv, sums)
+            return sums
+        cs = self.rows.complex_s
+        for block in ([r for r in rows if not cs[r]], [r for r in rows if cs[r]]):
+            if block:
+                self._block_sums(block, lv, sums)
+        return sums
+
+    def _block_sums(self, rows: list, lv: _NodeLevel, sums: dict) -> None:
+        """Sum the level for the rows of one block: skip the nodes whose
+        prefactor is negligible, spend each row's budget, screen the rows
+        whose f raised or is not finite at a kept node, and sum the terms
+        of the others. Rows with no kept node sum to 0."""
+        run, values = self.rows, self.values
+        arg = (run.sm1[rows[0]] * lv.lnx)[None] if len(rows) == 1 else \
+            np.array([run.sm1[r] for r in rows])[:, None] * lv.lnx
+        re_arg = arg.real if arg.dtype.kind == "c" else arg
+        log_pref = re_arg + lv.lw[None]
         # a prefactor below e^-800 underflows past any log-bounded growth
         keep = log_pref >= -800.0
-        xs, w, lw, pair = lv.xs, lv.w, lv.lw, lv.pair
-        low, low_lnx = lv.low, lv.low_lnx
-        if not keep.all():
-            xs = lv.x[keep].tolist()
-            arg, re_arg, log_pref = arg[keep], re_arg[keep], log_pref[keep]
-            w, lw, pair = w[keep], lw[keep], pair[keep]
-            if xs:
-                lnx = lv.lnx[keep]
-                low = int(lnx.argmin())
-                low_lnx = lnx[low].item()
-        if not xs:
-            return 0.0, 0.0
-        self.budget.spend(len(xs))
-        fv, dropped = self._values(xs, log_pref)
-        if self.from_zero and low_lnx < self.low_lnx:
-            self.low_lnx, self.low_f = low_lnx, abs(fv[low].item())
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = w * np.exp(arg) * fv
-            good = (np.abs(re_arg) < 700.0) & np.isfinite(terms)
-        if not good.all():
-            zero = fv == 0
-            terms[zero] = 0.0
-            for i in np.flatnonzero(~(good | zero)).tolist():
-                terms[i] = _log_space_term(arg[i].item(), lw[i].item(),
-                                           fv[i].item(), xs[i])
-        total = _pairwise_total(terms, pair, lv.n_pairs)
-        if dropped is not None:
-            self._check_dropped(lv, keep, dropped, terms, total)
-        return total, np.abs(terms).sum().item()
+        full = np.count_nonzero(keep) == keep.size
+        counts = [lv.x.size] * len(rows) if full else \
+            np.count_nonzero(keep, axis=1).tolist()
+        live = []
+        for i, (r, n) in enumerate(zip(rows, counts)):
+            if not n:
+                sums[r] = (0.0, 0.0)
+                continue
+            try:
+                run.budgets[r].spend(n)
+            except MellinkitError as exc:
+                run.fail(r, exc)
+                continue
+            live.append(i)
+        if len(live) < len(rows):
+            if not live:
+                return
+            rows = [rows[i] for i in live]
+            arg, re_arg, log_pref, keep = arg[live], re_arg[live], log_pref[live], keep[live]
+        ent = values.fill(self.f, lv, None if full else keep)
+        fv = ent.fv
+        finite = np.isfinite(fv)
+        bad = None if np.count_nonzero(finite) == finite.size else ~finite
+        dropped = {}
+        if bad is not None or values.raised:
+            hit = keep & values.raised_at(lv) if values.raised else None
+            live = []
+            for i, r in enumerate(rows):
+                if hit is not None and hit[i].any():
+                    # f raised at a kept node: screen the nodes before it
+                    j = int(hit[i].argmax())
+                    run.fail(r, _screened(lv, keep[i, :j].nonzero()[0], bad, log_pref[i])
+                             or values.take(int(lv.gid[j])))
+                    continue
+                if bad is not None:
+                    nodes = (keep[i] & bad).nonzero()[0]
+                    if nodes.size:
+                        exc = _screened(lv, nodes, bad, log_pref[i])
+                        if exc is not None:
+                            run.fail(r, exc)
+                            continue
+                        dropped[r] = nodes
+                live.append(i)
+            if not live:
+                return
+            if bad is not None:
+                fv = fv.copy()
+                fv[bad] = 0.0  # its own weight is negligible
+            if len(live) < len(rows):
+                rows = [rows[i] for i in live]
+                arg, re_arg, keep = arg[live], re_arg[live], keep[live]
+        if ent.cplx is None or arg.dtype.kind == "c":
+            self._sum_terms(rows, lv, arg, re_arg, keep, full, fv, dropped, sums)
+            return
+        # real s: a row whose kept values are all real sums them as real
+        cplx = (keep & ent.cplx).any(axis=1)
+        for part, fvv in ((~cplx, fv.real), (cplx, fv)):
+            if part.any():
+                self._sum_terms([r for r, p in zip(rows, part) if p], lv, arg[part],
+                                re_arg[part], keep[part], full, fvv, dropped, sums)
 
-    def _check_dropped(self, lv: _NodeLevel, keep, dropped, terms, total) -> None:
-        """SingularIntegrandError where the terms grow toward a dropped node:
-        the term of its inward neighbour (pair p - 1, same side) exceeds
-        sqrt(tol) |level sum| and is no smaller than the one further in
-        (pair p - 2). Next to a node an integrable f may drop, the weight
+    def _sum_terms(self, rows, lv, arg, re_arg, keep, full, fv, dropped, sums) -> None:
+        """Form the terms w exp((s-1) log x) f(x) of one block's rows and sum
+        each row's kept ones: each pair t, -t first, then the pair sums one
+        after another (one offset ``bincount`` for the block)."""
+        run = self.rows
+        n = len(rows)
+        if self.from_zero:
+            low_f = abs(fv[lv.low].item()) if full else None
+            for i, r in enumerate(rows):
+                if full:
+                    low, low_lnx = lv.low, lv.low_lnx
+                else:
+                    low = int(np.where(keep[i], lv.lnx, math.inf).argmin())
+                    low_lnx = lv.lnx[low].item()
+                if low_lnx < self.low_lnx[r]:
+                    self.low_lnx[r] = low_lnx
+                    self.low_f[r] = low_f if full else abs(fv[low].item())
+        with np.errstate(over="ignore", invalid="ignore"):
+            # (1, N) operands: numpy broadcasts them across the rows faster
+            # than 1-d ones
+            terms = lv.w[None] * np.exp(arg) * fv[None]
+            finite = np.isfinite(terms)
+        failed = set()
+        # where |Re (s-1) log x| may reach 700, or a term is not finite,
+        # the term is formed in log space
+        reach = run.reach[rows[0]] if n == 1 else max(run.reach[r] for r in rows)
+        near = reach * lv.max_abs_lnx >= 699.0
+        if near or np.count_nonzero(finite if full else finite[keep]) < \
+                (finite.size if full else np.count_nonzero(keep)):
+            good = (np.abs(re_arg) < 700.0) & finite if near else finite
+            odd = ~good if full else keep & ~good
+            zero = fv == 0
+            for i in odd.any(axis=1).nonzero()[0].tolist():
+                terms[i, zero & keep[i]] = 0.0
+                try:
+                    for j in (odd[i] & ~zero).nonzero()[0].tolist():
+                        terms[i, j] = _log_space_term(arg[i, j].item(), lv.lw[j].item(),
+                                                      fv[j].item(), lv.xs[j])
+                except Exception as exc:  # this row's outcome
+                    run.fail(rows[i], exc)
+                    failed.add(i)
+        bins = lv.bins(n)
+        kept = (bins.ravel(), terms.ravel()) if full else (bins[keep], terms[keep])
+        size = n * lv.n_pairs
+        if terms.dtype.kind == "c":
+            pair_sums = np.empty(size, dtype=complex)
+            pair_sums.real = np.bincount(kept[0], kept[1].real, size)
+            pair_sums.imag = np.bincount(kept[0], kept[1].imag, size)
+        else:
+            pair_sums = np.bincount(kept[0], kept[1], size)
+        mags = np.abs(terms)
+        # numpy sums a contiguous row pairwise, so each row is summed as
+        # its own compressed array would be
+        if n == 1 and full:  # the same sums by 1-d calls, which cost less
+            totals = [np.add.accumulate(pair_sums)[-1].item()]
+            abs_sums = [np.add.reduce(mags[0]).item()]
+        else:
+            totals = np.add.accumulate(pair_sums.reshape(n, lv.n_pairs), axis=1)[:, -1].tolist()
+            abs_sums = np.add.reduce(mags, axis=1).tolist() if full else \
+                [np.add.reduce(mags[i][keep[i]]).item() for i in range(n)]
+        for i, (r, total, abs_sum) in enumerate(zip(rows, totals, abs_sums)):
+            if i in failed:
+                continue
+            if r in dropped:
+                mag = np.zeros(lv.x.size + 1)  # mag[-1] = 0 stands for "no such node"
+                if full:
+                    mag[:-1] = mags[i]
+                else:
+                    mag[:-1][keep[i]] = mags[i][keep[i]]
+                try:
+                    self._check_dropped(r, lv, mag, dropped[r], total)
+                except MellinkitError as exc:
+                    run.fail(r, exc)
+                    continue
+            sums[r] = (total, abs_sum)
+
+    def _check_dropped(self, r: int, lv: _NodeLevel, mag, dropped, total) -> None:
+        """SingularIntegrandError where row r's terms grow toward a dropped
+        node: the term of its inward neighbour (pair p - 1, same side)
+        exceeds sqrt(tol) |level sum| and is no smaller than the one further
+        in (pair p - 2). Next to a node an integrable f may drop, the weight
         decays faster than f grows; next to a pole (x rounds to it, f = inf)
         the term stays large however fine the level."""
-        mag = np.zeros(lv.x.size + 1)  # mag[-1] = 0 stands for "no such node"
-        mag[:-1][keep] = np.abs(terms)
         floor = math.sqrt(self.tol) * abs(total)
-        for i in np.flatnonzero(keep)[dropped].tolist():
+        for i in dropped.tolist():
             inner = lv.inward[i]
             if inner >= 0 and mag[inner] > floor and mag[inner] >= mag[lv.inward[inner]]:
                 raise SingularIntegrandError(
                     f"integrand is singular at x={lv.xs[i]!r}: the terms grow toward "
                     f"the non-finite value dropped there ({mag[inner]:.3e} next to "
-                    f"it at level {self.level}, "
+                    f"it at level {self.level[r]}, "
                     f"{mag[inner] / max(abs(total), 1e-300):.3g} times the level sum)")
 
-    def _values(self, xs: list, log_pref: np.ndarray):
-        """(f at every node, in node order; the mask of dropped nodes or
-        None). A ValueError, OverflowError or ZeroDivisionError from f counts
-        as a non-finite value; a non-finite value is dropped (0) where the
-        weight is below ``_SKIP_FLOOR`` and raises SingularIntegrandError
-        above it. Any other exception from f propagates, unless an earlier
-        node has already raised."""
-        f = self.f
-        vals = []
-        append = vals.append
-        while True:
-            try:
-                for x in xs[len(vals):]:
-                    append(f(x))
-                break
-            except (ValueError, OverflowError, ZeroDivisionError):
-                append(math.nan)
-            except Exception:
-                _screen(xs, np.array(vals), log_pref)
-                raise
-        return _screen(xs, np.array(vals), log_pref)
+    def rounding(self, r: int) -> float:
+        """The rounding error of row r's sum: a few eps * h * sum |terms|."""
+        return _ROUNDING_C * _EPS * 0.5 ** self.level[r] * self.abs_sum[r]
 
-    def rounding(self) -> float:
-        """The rounding error of the sum: a few eps * h * sum |terms|."""
-        return _ROUNDING_C * _EPS * self.h * self.abs_sum
-
-    def below(self) -> float:
+    def below(self, r: int) -> float:
         """About |f(x0)| x0^Re(s) / Re(s): the part of the integral under the
         smallest node x0 evaluated, which the sums leave out (nodes where x
         underflows are dropped). 0 for the upper piece, and for Re(s) <= 0,
         where f must vanish at 0 for the transform to exist."""
-        re_s = self.sm1.real + 1.0
-        if self.low_f == 0.0 or re_s <= 0.0:
+        re_s = self.rows.sm1[r].real + 1.0
+        if self.low_f[r] == 0.0 or re_s <= 0.0:
             return 0.0
-        return math.exp(min(math.log(self.low_f) + re_s * self.low_lnx
+        return math.exp(min(math.log(self.low_f[r]) + re_s * self.low_lnx[r]
                             - math.log(re_s), 709.0))
 
-    def sum_err(self) -> float:
-        """The error of the sum: the last level-to-level difference,
+    def sum_err(self, r: int) -> float:
+        """The error of row r's sum: the last level-to-level difference,
         floored by its rounding error."""
-        return max(self.diffs[-1], self.rounding())
+        return max(self.diffs[r][-1], self.rounding(r))
 
-    def err(self) -> float:
-        """The error of the piece: ``sum_err`` floored by the part of the
+    def err(self, r: int) -> float:
+        """The error of row r: ``sum_err`` floored by the part of the
         integral under the smallest node, which no refinement reduces."""
-        return max(self.sum_err(), self.below())
+        return max(self.sum_err(r), self.below(r))
 
-    def accepts(self, tol: float, scale: float) -> bool:
+    def accepts(self, r: int, tol: float, scale: float) -> bool:
         """DE convergence confirmed: h <= 1/4, the last difference below
         tol * scale and the one before it below sqrt(tol) * scale."""
-        return (self.h <= 0.25 and self.diffs[-1] <= tol * scale
-                and self.diffs[-2] <= math.sqrt(tol) * scale)
+        d = self.diffs[r]
+        return self.level[r] >= 2 and d[-1] <= tol * scale and d[-2] <= math.sqrt(tol) * scale
 
-    def converge(self) -> "_Piece":
-        """Refine until convergence relative to the piece's own value.
+    def converge(self, rows) -> None:
+        """Refine every row of ``rows`` that has not failed, level by level
+        in one pass for all of them, until each converges relative to its
+        own value or fails.
 
-        Two rules end a piece whose integral does not exist at this s. At
-        any level, from 0 on, terms that grow toward a node dropped as
+        Two rules end a row whose integral does not exist at its s. At any
+        level, from 0 on, terms that grow toward a node dropped as
         non-finite raise SingularIntegrandError (``_check_dropped``): f has
         a pole where x rounds onto it, e.g. -1/(1 - x) at the end x = 1 of
         the lower piece. Where f hides its singularity (finite values
@@ -517,58 +822,110 @@ class _Piece:
         difference d_k exceeds sqrt(tol) |value| and is no smaller than
         d_{k-2} raises ConvergenceError. Coarser levels may not resolve
         x^{i Im s} yet, and their differences may grow before they shrink."""
-        d, tol = self.diffs, self.tol
-        while True:
-            if self.level == _MAX_LEVEL:
-                raise ConvergenceError(
-                    "quadrature did not stabilize within the refinement budget "
-                    f"(last interval-halving difference {d[-1]:.3e})")
-            self.refine()
-            scale = max(abs(self.val), 1e-300)
-            if self.accepts(tol, scale):
-                return self
-            if (self.level >= _DE_STALL_LEVEL and d[-1] > math.sqrt(tol) * scale
-                    and d[-1] >= d[-3]):
-                raise ConvergenceError(
-                    "quadrature did not stabilize: the interval-halving difference "
-                    f"did not shrink from level {self.level - 2} ({d[-3]:.3e}) to "
-                    f"level {self.level} ({d[-1]:.3e})")
+        tol, run = self.tol, self.rows
+        active = [r for r in rows if run.errors[r] is None]
+        while active:
+            if self.level[active[0]] == _MAX_LEVEL:
+                for r in active:
+                    run.fail(r, ConvergenceError(
+                        "quadrature did not stabilize within the refinement budget "
+                        f"(last interval-halving difference {self.diffs[r][-1]:.3e})"))
+                return
+            self.refine(active)
+            going = []
+            for r in active:
+                if run.errors[r] is not None:
+                    continue
+                d = self.diffs[r]
+                scale = max(abs(self.val[r]), 1e-300)
+                if self.accepts(r, tol, scale):
+                    continue
+                if (self.level[r] >= _DE_STALL_LEVEL and d[-1] > math.sqrt(tol) * scale
+                        and d[-1] >= d[-3]):
+                    run.fail(r, ConvergenceError(
+                        "quadrature did not stabilize: the interval-halving difference "
+                        f"did not shrink from level {self.level[r] - 2} ({d[-3]:.3e}) to "
+                        f"level {self.level[r]} ({d[-1]:.3e})"))
+                    continue
+                going.append(r)
+            active = going
 
-    def tighten(self, scale) -> None:
-        """Refine until convergence relative to ``scale()``, until the
-        differences reach the rounding floor, or up to ``_MAX_LEVEL``."""
-        while not (self.accepts(self.tol, scale())
-                   or self.diffs[-1] <= self.rounding()
-                   or self.level == _MAX_LEVEL):
-            self.refine()
+    def tighten(self, r: int, scale) -> None:
+        """Refine row r until it converges relative to ``scale()``, its
+        differences reach the rounding floor, it reaches ``_MAX_LEVEL`` or
+        it fails."""
+        while not (self.accepts(r, self.tol, scale())
+                   or self.diffs[r][-1] <= self.rounding(r)
+                   or self.level[r] == _MAX_LEVEL):
+            self.refine([r])
+            if self.rows.errors[r] is not None:
+                return
 
 
-def mellin_transform(f: Callable[[float], float], s, tol: float = 1e-10,
-                     max_evals: int = MAX_EVALS) -> QuadResult:
-    """Mellin transform of ``f`` at ``s`` (0 < Re(s) required for the lower
-    piece to converge; the caller is responsible for strip validity).
+def _outcome(out):
+    """A transform's QuadResult, or the exception it ended with, raised."""
+    if isinstance(out, BaseException):
+        raise out
+    return out
 
-    Each piece first converges to 0.5 tol relative to itself. When the
+
+def mellin_transforms(f: Callable[[float], float], ss, tol: float = 1e-10,
+                      max_evals: int = MAX_EVALS) -> list:
+    """Mellin transform of ``f`` at every s of ``ss`` (0 < Re(s) required
+    for the lower piece to converge; the caller is responsible for strip
+    validity): per s, in order, its QuadResult or the exception its
+    transform ended with.
+
+    Every s is a row of both pieces, refined level by level in one pass
+    over the rows still active, and f is evaluated once per node any row
+    uses. Each row keeps its own level sums, budget of ``max_evals`` and
+    errors, so its outcome does not depend on the other rows: value,
+    err_abs, n_evals and converged, or the error's class, message and
+    n_evals, are those of ``mellin_transform(f, s)``.
+
+    Each piece first converges to 0.5 tol relative to itself. When a row's
     pieces cancel, so that their errors exceed tol relative to the total,
     the piece with the larger error and then, if needed, the other one are
     refined to 0.5 tol relative to the total. A total of exactly 0 is not
     refined further and reports ``converged=False``."""
-    with _EvalBudget(max_evals) as budget:
-        lo = _Piece(_lower_node, f, s, budget, 0.5 * tol).converge()
-        hi = _Piece(_upper_node, f, s, budget, 0.5 * tol).converge()
+    ss = list(ss)
+    rows = _Rows(ss, [_EvalBudget(max_evals) for _ in ss])
+    values = _Values()
+    lo = _Piece(_LOWER, True, f, rows, 0.5 * tol, values)
+    hi = _Piece(_UPPER, False, f, rows, 0.5 * tol, values)
+    every = range(len(ss))
+    lo.converge(every)
+    hi.converge(every)
+    return [_joined(lo, hi, r, tol) for r in every]
 
+
+def _joined(lo: _Piece, hi: _Piece, r: int, tol: float):
+    """Row r's QuadResult from its converged pieces, refined against their
+    total where they cancel, or the error it ended with."""
+    errors = lo.rows.errors
+    if errors[r] is None:
         def total_scale():
-            return abs(lo.val + hi.val)
+            return abs(lo.val[r] + hi.val[r])
 
-        for piece in sorted((lo, hi), key=_Piece.sum_err, reverse=True):
+        # the piece with the larger error first (the lower one on a tie)
+        for piece in (lo, hi) if lo.sum_err(r) >= hi.sum_err(r) else (hi, lo):
             total = total_scale()
-            if total == 0.0 or lo.sum_err() + hi.sum_err() <= tol * total:
+            if total == 0.0 or lo.sum_err(r) + hi.sum_err(r) <= tol * total:
                 break
-            piece.tighten(total_scale)
-    value = lo.val + hi.val
-    err = lo.err() + hi.err()
-    converged = err <= tol * max(abs(value), 1e-300)
-    return QuadResult(value, err, budget.used, converged)
+            piece.tighten(r, total_scale)
+    if errors[r] is not None:
+        return errors[r]
+    value = lo.val[r] + hi.val[r]
+    err = lo.err(r) + hi.err(r)
+    return QuadResult(value, err, lo.rows.budgets[r].used,
+                      err <= tol * max(abs(value), 1e-300))
+
+
+def mellin_transform(f: Callable[[float], float], s, tol: float = 1e-10,
+                     max_evals: int = MAX_EVALS) -> QuadResult:
+    """Mellin transform of ``f`` at ``s``: the one-row case of
+    ``mellin_transforms``, raising the error the transform ends with."""
+    return _outcome(mellin_transforms(f, [s], tol, max_evals)[0])
 
 
 def _scaled_lower_transform(f, s, x_cut: float, budget: _EvalBudget, tol: float):
@@ -576,10 +933,14 @@ def _scaled_lower_transform(f, s, x_cut: float, budget: _EvalBudget, tol: float)
     def g(y):
         return f(x_cut * y)
 
-    piece = _Piece(_lower_node, g, s, budget, tol).converge()
+    rows = _Rows([s], [budget])
+    piece = _Piece(_LOWER, True, g, rows, tol, _Values())
+    piece.converge([0])
+    if rows.errors[0] is not None:
+        raise rows.errors[0]
     scale = cmath.exp(s * math.log(x_cut)) if isinstance(s, complex) \
         else math.exp(s * math.log(x_cut))
-    return scale * piece.val, abs(scale) * piece.err()
+    return scale * piece.val[0], abs(scale) * piece.err(0)
 
 
 def _oscillatory_table(omega: float, level: int) -> _NodeLevel:
@@ -609,26 +970,29 @@ def _oscillatory_table(omega: float, level: int) -> _NodeLevel:
 
 
 class _OscillatoryPiece(_Piece):
-    """Oscillatory DE sums for one s; ``node_fn`` maps a level to its node
-    table. The levels are not nested: each is a complete sum, and
-    ``abs_sum``, ``low_lnx`` and ``low_f`` are the last level's. Its tables
-    name no inward neighbours, so a dropped node is judged by its weight
-    alone."""
+    """Oscillatory DE sums; ``table`` maps a level to its node table. The
+    levels are not nested: each is a complete sum, and ``abs_sum``,
+    ``low_lnx`` and ``low_f`` are the last level's. Its tables name no
+    inward neighbours, so a dropped node is judged by its weight alone."""
 
     __slots__ = ()
 
-    def refine(self):
-        self.level += 1
-        self.h *= 0.5
-        self.low_lnx, self.low_f = math.inf, 0.0
-        add, self.abs_sum = self._level_sum(self.node_fn(self.level))
-        val = add * self.h
-        self.diffs.append(abs(val - self.val) if self.level else abs(val))
-        self.val = val
+    def refine(self, rows: list) -> None:
+        level = self.level[rows[0]] + 1
+        for r in rows:
+            self.level[r] = level
+            self.low_lnx[r], self.low_f[r] = math.inf, 0.0
+        h = 0.5 ** level
+        for r, (add, abs_add) in self._level_sums(rows, self.table(level)).items():
+            val = add * h
+            self.diffs[r].append(abs(val - self.val[r]) if level else abs(val))
+            self.val[r] = val
+            self.abs_sum[r] = abs_add
 
 
 def mellin_oscillatory(f: Callable[[float], float], s, half_period: float,
-                       tol: float = 1e-8, max_evals: int = MAX_EVALS) -> QuadResult:
+                       tol: float = 1e-8, max_evals: int = MAX_EVALS,
+                       values: "_Values | None" = None) -> QuadResult:
     """Mellin transform of an integrand that oscillates like cos(omega x),
     omega = pi / half_period, times a slowly varying factor.
 
@@ -640,51 +1004,62 @@ def mellin_oscillatory(f: Callable[[float], float], s, half_period: float,
     oscillation yet), two differences in a row above ``_STALL`` times the
     one before, or ``_MAX_LEVEL``, raise AccelerationFailureError: the
     integrand does not oscillate as declared, or Re(s) < ~0.03 puts part of
-    the integral below the smallest double.
+    the integral below the smallest double. The calls of one run share f's
+    values at the nodes through ``values``, the run's ``_Values`` of this f.
     """
     if half_period <= 0.0:
         raise ValueError(f"half period must be positive, got {half_period}")
-    with _EvalBudget(max_evals) as budget:
-        table = functools.partial(_oscillatory_table, math.pi / half_period)
-        piece = _OscillatoryPiece(table, f, s, budget, tol)
-        while True:
-            piece.refine()
-            d = piece.diffs
-            if piece.accepts(tol, max(abs(piece.val), 1e-300)) or d[-1] <= piece.rounding():
-                break
-            stalled = (piece.level >= _STALL_LEVEL and d[-1] > _STALL * d[-2]
-                       and d[-2] > _STALL * d[-3])
-            if stalled or piece.level == _MAX_LEVEL:
-                raise AccelerationFailureError(
-                    "oscillatory sums do not converge double exponentially (last "
-                    f"level differences {d[-2]:.3e}, then {d[-1]:.3e})")
-    err = piece.err()
-    return QuadResult(piece.val, err, budget.used, err <= tol * max(abs(piece.val), 1e-300))
+    rows = _Rows([s], [_EvalBudget(max_evals)])
+    piece = _OscillatoryPiece(functools.partial(_oscillatory_table, math.pi / half_period),
+                              True, f, rows, tol, _Values() if values is None else values)
+    while True:
+        piece.refine([0])
+        if rows.errors[0] is not None:
+            raise rows.errors[0]
+        d = piece.diffs[0]
+        if piece.accepts(0, tol, max(abs(piece.val[0]), 1e-300)) or d[-1] <= piece.rounding(0):
+            break
+        stalled = (piece.level[0] >= _STALL_LEVEL and d[-1] > _STALL * d[-2]
+                   and d[-2] > _STALL * d[-3])
+        if stalled or piece.level[0] == _MAX_LEVEL:
+            rows.fail(0, AccelerationFailureError(
+                "oscillatory sums do not converge double exponentially (last "
+                f"level differences {d[-2]:.3e}, then {d[-1]:.3e})"))
+            raise rows.errors[0]
+    val, err = piece.val[0], piece.err(0)
+    return QuadResult(val, err, rows.budgets[0].used, err <= tol * max(abs(val), 1e-300))
 
 
-def _series_run(h: "series_mod.SeriesHandle", tol: float,
-                max_evals: int = MAX_EVALS) -> Callable[..., QuadResult]:
-    """s -> ``mellin_on_series(h, s, tol, max_evals)`` for every s of one
-    run; the seam check (where ``h`` has a radius and a closed form) and
-    each integrand value are computed once per run."""
+def _series_run(h: "series_mod.SeriesHandle", ss, tol: float,
+                max_evals: int = MAX_EVALS) -> list:
+    """The transform of the series handle ``h`` at every s of ``ss``, each
+    s's QuadResult or error as ``mellin_transforms`` gives them. The seam
+    check (where ``h`` has a radius and a closed form) runs once, and each
+    integrand value is computed once for all s: in one
+    ``mellin_transforms`` pass, or, for a handle with a half period, in one
+    ``mellin_oscillatory`` call per s that share their values."""
+    ss = list(ss)
     eval_tol = min(1e-2 * tol, series_mod.DEFAULT_TOL)
-    f = _memoized(h.closed_form if h.half_period > 0.0
-                  else lambda x: series_mod.eval_series(h, x, tol=eval_tol))
-    seamed = h.closed_form is not None and h.radius_hint is not None
-    seam = _memoized(lambda t: series_mod.seam_check(h, t))
-
-    def run(s) -> QuadResult:
-        if seamed:
-            x_seam, mismatch = seam(eval_tol)
-            if mismatch > _SEAM_TOL_FACTOR * tol:
-                raise SeamMismatchError(
-                    f"series and closed form disagree by {mismatch:.3e} at the "
-                    f"switch-over point x={x_seam:.6g}")
-        if h.half_period > 0.0:
-            return mellin_oscillatory(f, s, h.half_period, tol=tol, max_evals=max_evals)
-        return mellin_transform(f, s, tol=tol, max_evals=max_evals)
-
-    return run
+    if ss and h.closed_form is not None and h.radius_hint is not None:
+        try:
+            x_seam, mismatch = series_mod.seam_check(h, eval_tol)
+        except Exception as exc:  # every s gets it, as its own exception
+            return [exc] + [type(exc)(*exc.args) for _ in ss[1:]]
+        if mismatch > _SEAM_TOL_FACTOR * tol:
+            return [SeamMismatchError(
+                f"series and closed form disagree by {mismatch:.3e} at the "
+                f"switch-over point x={x_seam:.6g}") for _ in ss]
+    if h.half_period <= 0.0:
+        return mellin_transforms(lambda x: series_mod.eval_series(h, x, tol=eval_tol),
+                                 ss, tol, max_evals)
+    values, out = _Values(), []
+    for s in ss:
+        try:
+            out.append(mellin_oscillatory(h.closed_form, s, h.half_period, tol=tol,
+                                          max_evals=max_evals, values=values))
+        except Exception as exc:  # the caller decides which errors to report
+            out.append(exc)
+    return out
 
 
 def mellin_on_series(h: "series_mod.SeriesHandle", s, tol: float = 1e-10,
@@ -697,4 +1072,4 @@ def mellin_on_series(h: "series_mod.SeriesHandle", s, tol: float = 1e-10,
     oscillatory rule, when the handle has a half period. This is the one-s
     case of ``_series_run``.
     """
-    return _series_run(h, tol, max_evals)(s)
+    return _outcome(_series_run(h, [s], tol, max_evals)[0])

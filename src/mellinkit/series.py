@@ -25,7 +25,6 @@ from typing import Callable, Optional
 from .catalog import CoefficientFunction, KernelFunction
 from .errors import ConvergenceError, RadiusExceededError
 from .jets import eval_row, pm_row, residue_row
-from .specfun import _neumaier_add
 
 MODES = ("residue", "conjecture")
 
@@ -86,8 +85,9 @@ def theorem_radius(coeff: CoefficientFunction) -> Optional[float]:
     return math.exp(-p)
 
 
-def term(h: SeriesHandle, k: int, x: float):
-    """The k-th summand of the integrand series at x > 0."""
+def term(h: SeriesHandle, k: int, x: float, log_x: Optional[float] = None):
+    """The k-th summand of the integrand series at x > 0; ``log_x``, if
+    given, is ``math.log(x)``."""
     if x <= 0.0:
         raise ValueError(f"series variable must be positive, got x={x}")
     row = h.rows.get(k)
@@ -95,7 +95,7 @@ def term(h: SeriesHandle, k: int, x: float):
         row = h.rows[k] = _row(h, k)
     if not row:
         return 0.0
-    return eval_row(row, math.log(x)) * x ** k
+    return eval_row(row, math.log(x) if log_x is None else log_x) * x ** k
 
 
 def _row(h: SeriesHandle, k: int) -> tuple:
@@ -112,17 +112,22 @@ def sum_series(h: SeriesHandle, x: float, tol: float = DEFAULT_TOL,
     """Compensated summation of the raw series, no radius fallback.
 
     Stops once two successive terms are below tol * |sum| and a geometric
-    tail bound confirms the remainder is negligible.
+    tail bound confirms the remainder is negligible. log x is taken once
+    per sum; each term keeps its own x ** k.
     """
     total, comp = 0.0, 0.0
     prev_mag = None
     small_streak = 0
+    log_x = math.log(x) if x > 0.0 else None  # else ``term`` raises
     for k in range(k_cap + 1):
-        t = term(h, k, x)
+        t = term(h, k, x, log_x)
         if isinstance(t, complex) and abs(t.imag) <= 1e-30 * max(1.0, abs(t.real)):
             t = t.real
-        total, comp = _neumaier_add(total, comp, t)
+        # Neumaier's compensated sum, inline
         mag = abs(t)
+        new = total + t
+        comp += (total - new) + t if abs(total) >= mag else (t - new) + total
+        total = new
         scale = max(abs(total + comp), 1e-300)
         if k >= 4 and mag <= tol * scale:
             small_streak += 1

@@ -193,9 +193,30 @@ class TestCoefficients:
             assert abs(jet.derivs[2] - fd2) <= 1e-5 * max(1.0, abs(fd2)), (cid, k)
             assert abs(jet.derivs[3] - fd3) <= 1e-4 * max(1.0, abs(fd3)), (cid, k)
 
-    def test_delta_in_unit_interval(self):
-        for cid in ALL_COEFFS:
-            assert 0.0 < coefficient(cid).delta <= 1.0
+    # the mpmath definitions of the coefficients, written independently
+    MP_COEFFS = {
+        "const_one": lambda z: mpmath.mpf(1),
+        "power_a:2": lambda z: mpmath.mpf(2) ** z,
+        "power_a:0.5": lambda z: mpmath.mpf(0.5) ** z,
+        "inv_gamma": lambda z: mpmath.rgamma(1 + z),
+        "sin_gamma": lambda z: mpmath.pi * z * mpmath.rgamma(1 - z),
+        "inv_linear": lambda z: 1 / (z + 1),
+    }
+
+    @pytest.mark.parametrize("cid", ALL_COEFFS)
+    def test_delta_is_the_half_plane_of_analyticity(self, cid):
+        # entire coefficients have delta = inf and match their definition
+        # far to the left; 1/(z + 1) stops at its pole z = -1
+        g = coefficient(cid)
+        if cid == "inv_linear":
+            assert g.delta == 1.0
+            assert abs(g.eval(-1.0 + 1e-9)) > 1e8
+            return
+        assert g.delta == math.inf
+        with mpmath.workdps(30):
+            for z in (-0.5, -1.3, -2.7, -3.5 + 0.4j):
+                want = complex(self.MP_COEFFS[cid](mpmath.mpmathify(z)))
+                assert abs(g.eval(z) - want) <= 1e-12 * max(1.0, abs(want)), z
 
 
 class TestCompose:

@@ -150,8 +150,9 @@ class TestRepresentationStrip:
     @pytest.mark.parametrize("kernel,coeff,spec", [
         ("pi_csc", "const_one", "1.5"),
         ("pi_csc", "inv_gamma", "-0.2"),
-        ("gamma", "power_a:2", "1.5"),
-        ("gamma_squared", "sin_gamma", "1.2+0.3i"),
+        ("gamma", "power_a:2", "-0.2"),
+        ("gamma", "inv_linear", "1.5"),
+        ("gamma_squared", "sin_gamma", "-0.3+0.3i"),
     ])
     def test_mellin_coeff_outside_strip_fails_before_quadrature(
             self, capsys, no_quadrature, kernel, coeff, spec):
@@ -159,6 +160,17 @@ class TestRepresentationStrip:
                             "--s", "0.5", f"--s={spec}")
         assert rc == cli.EXIT_USAGE and out == ""
         assert err.startswith("error:") and "requested h(" in err
+
+    def test_entire_coefficient_keeps_the_kernel_strip(self, capsys):
+        # a^z is entire, so M[e^(-2x)](1.5) = Gamma(1.5) 2^(-1.5) is in reach
+        rc, out, err = _run(capsys, "mellin", "--kernel", "gamma", "--coeff", "power_a:2",
+                            "--s", "1.5", "--format", "json")
+        assert rc == cli.EXIT_PASS and err == ""
+        (smp,) = _samples(out)
+        with mpmath.workdps(30):
+            want = float(mpmath.gamma(1.5) * mpmath.mpf(2) ** -1.5)
+        assert smp["lhs_im"] == 0.0
+        assert abs(smp["lhs_re"] - want) <= 1e-10 * want
 
     def test_every_kernel_but_psi_has_a_strip(self):
         for kernel in ("gamma", "pi_csc", "gamma_squared", "gamma_cos_half",

@@ -1,6 +1,7 @@
 """Tests for the double-exponential Mellin quadrature."""
 
 import cmath
+import functools
 import math
 
 import mpmath
@@ -8,11 +9,10 @@ import pytest
 
 from mellinkit import catalog, harness, mellin, series, specfun
 from mellinkit.errors import (AccelerationFailureError, ConvergenceError,
-                              RadiusExceededError, SeamMismatchError,
-                              SingularIntegrandError)
-from mellinkit.mellin import (QuadResult, Strip, _memoized, _series_run,
-                              mellin_on_series, mellin_oscillatory,
-                              mellin_transform)
+                              SeamMismatchError, SingularIntegrandError)
+from mellinkit.mellin import (QuadResult, Strip, _series_run, mellin_on_series,
+                              mellin_oscillatory, mellin_transform,
+                              mellin_transforms)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -213,6 +213,21 @@ class TestMellinOnSeries:
             mellin_on_series(h, 0.5, tol=1e-10)
 
 
+def _outcome(out):
+    """What a test compares of a transform's outcome: the QuadResult, or the
+    error's class, message and evaluation count."""
+    if isinstance(out, BaseException):
+        return (type(out), str(out), getattr(out, "n_evals", None))
+    return out
+
+
+def _alone(f, s, **kwargs):
+    try:
+        return _outcome(mellin_transform(f, s, **kwargs))
+    except Exception as exc:
+        return _outcome(exc)
+
+
 class TestSharedIntegrand:
     GRID = (0.15, 0.4, 0.65, 0.9, 0.5 + 0.2j, 0.3 - 0.1j)
 
@@ -224,52 +239,131 @@ class TestSharedIntegrand:
         ("pi_csc", "simple", lambda x: 1.0 / (1.0 + x)),
     ])
     def test_run_matches_unshared_transforms_bit_for_bit(self, kid, poles, closed):
-        # reference: a fresh, unmemoized integrand for every s
+        # reference: a fresh integrand for every s
         h = series.handle(catalog.kernel(kid), catalog.coefficient("const_one"),
                           closed_form=closed)
-        run = _series_run(h, 1e-10)
-        for s in self.GRID:
+        run = _series_run(h, self.GRID, 1e-10)
+        for s, got in zip(self.GRID, run):
             want = mellin_transform(
                 lambda x: series.eval_series(h, x, tol=1e-12), s, tol=1e-10)
-            assert run(s) == want, s
+            assert got == want, s
             assert mellin_on_series(h, s, tol=1e-10) == want, s
 
-    def test_memo_evaluates_once_and_replays_fresh_exceptions(self):
+    # x^2 e^-x: Re s = 1.5 drops lower-piece nodes, whose prefactor is below
+    # e^-800, and Re s = -1.3 drops upper-piece ones
+    MIXED = (0.15, 0.9, 0.5 + 0.2j, 0.3 - 0.1j, -0.4, 1.5, -1.3 + 0.5j)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-13])
+    def test_mixed_grid_equals_each_s_alone_bit_for_bit(self, tol):
+        def f(x):
+            return x * (x * math.exp(-x))
+
+        got = mellin_transforms(f, self.MIXED, tol=tol)
+        for s, out in zip(self.MIXED, got):
+            assert type(out) is QuadResult and out.converged, s
+            want = mellin_transform(f, s, tol=tol)
+            assert out == want, s
+            assert type(out.value) is type(want.value)
+            assert abs(out.value - complex(mpmath.gamma(s + 2))) <= 1e-7 * abs(out.value)
+        dropped = set()
+        for s in self.MIXED:
+            for node_fn in (mellin._lower_node, mellin._upper_node):
+                for level in range(3):
+                    lv = mellin._node_table(node_fn, level)
+                    if ((s - 1.0).real * lv.lnx + lv.lw < -800.0).any():
+                        dropped.add(s)
+        assert dropped == {1.5, -1.3 + 0.5j}
+
+    # x^2 e^-x at tol 1e-10, pinned: (value real, imag, err_abs, n_evals),
+    # all converged; the rows that drop nodes spend fewer evaluations
+    PINNED = {
+        0.15: ("0x1.12afef9fad2a4p+0", "0x0.0p+0", "0x1.12afef9fad2a4p-48", 634),
+        0.9: ("0x1.d3cd8ae575ad8p+0", "0x0.0p+0", "0x1.d3cd8ae575ad8p-48", 634),
+        0.5 + 0.2j: ("0x1.4da738e56740dp+0", "0x1.7ab9f3e792cf0p-3",
+                     "0x1.544fa6d47b391p-48", 634),
+        0.3 - 0.1j: ("0x1.295522ef3fc7ap+0", "-0x1.1e07c99d2224cp-4",
+                     "0x1.2aada1a4ae115p-48", 634),
+        -0.4: ("0x1.c97ad807544cap-1", "0x0.0p+0", "0x1.c97ad807544c9p-49", 634),
+        1.5: ("0x1.a96390899a075p+1", "0x0.0p+0", "0x1.288aaee4e0879p-46", 629),
+        -1.3 + 0.5j: ("0x1.add7bb61feb57p-1", "-0x1.d9f7b0a03ff5dp-2",
+                      "0x1.4c4d5ab21ea21p-48", 630),
+    }
+
+    def test_mixed_grid_keeps_the_pinned_bits(self):
+        got = mellin_transforms(lambda x: x * (x * math.exp(-x)), self.MIXED, tol=1e-10)
+        for s, q in zip(self.MIXED, got):
+            v = complex(q.value)
+            assert (v.real.hex(), v.imag.hex(), q.err_abs.hex(), q.n_evals) == self.PINNED[s]
+            assert q.converged and isinstance(q.value, complex) == isinstance(s, complex)
+
+    def test_failing_rows_equal_each_s_alone(self):
+        # 1/(1 + x): the transform exists for 0 < Re s < 1 only; the pole
+        # f = inf at x = 1.0 of 1/(1 - x) fails at level 0
+        cases = [(lambda x: 1.0 / (1.0 + x), (0.5, 1.2, 0.3 + 0.4j, 1.5 - 0.2j)),
+                 (lambda x: 1.0 / (1.0 - x) if x != 1.0 else math.inf, (0.35, 0.7j + 0.2)),
+                 (lambda x: math.exp(-x), (0.5, 0.7))]
+        for f, grid in cases:
+            for max_evals in (mellin.MAX_EVALS, 300):
+                got = mellin_transforms(f, grid, tol=1e-10, max_evals=max_evals)
+                for s, out in zip(grid, got):
+                    assert _outcome(out) == _alone(f, s, tol=1e-10, max_evals=max_evals), s
+        outs = mellin_transforms(cases[0][0], cases[0][1], tol=1e-10)
+        assert [type(o).__name__ for o in outs] == [
+            "QuadResult", "ConvergenceError", "QuadResult", "ConvergenceError"]
+
+    def test_values_are_computed_once_per_abscissa(self):
+        # every abscissa that any s uses, across both pieces and all
+        # levels, is evaluated once; x = 1.0 ends many node tables
         calls = []
-        h = series.handle(catalog.kernel("pi_csc"),
-                          catalog.coefficient("const_one"), radius_hint=1.0)
 
         def f(x):
             calls.append(x)
-            return series.eval_series(h, x)
+            return math.exp(-x)
 
-        memo = _memoized(f)
-        assert memo(0.5) == memo(0.5) == series.eval_series(h, 0.5)
-        raised = []
-        for _ in range(2):
-            with pytest.raises(RadiusExceededError) as info:
-                memo(2.0)
-            raised.append(info.value)
-        assert calls == [0.5, 2.0]
-        assert raised[0] is not raised[1]
-        assert str(raised[0]) == str(raised[1])
+        mellin_transforms(f, self.GRID, tol=1e-12)
+        assert len(calls) == len(set(calls)) and 1.0 in calls
+        alone = set()
+        for s in self.GRID:
+            calls.clear()
+            mellin_transform(f, s, tol=1e-12)
+            assert len(calls) == len(set(calls))
+            alone |= set(calls)
+        calls.clear()
+        mellin_transforms(f, self.GRID, tol=1e-12)
+        assert set(calls) == alone
+
+    def test_raised_value_reaches_each_row_as_its_own_error(self):
+        # f raises (not as nan) from x = 3 on: each row stops there, with an
+        # equal but distinct error carrying its own evaluation count
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            if x >= 3.0:
+                raise ConvergenceError(f"no value at {x!r}")
+            return math.exp(-x)
+
+        got = mellin_transforms(f, self.GRID, tol=1e-10)
+        assert calls.count(min(x for x in calls if x >= 3.0)) == 1
+        assert len(calls) == len(set(calls))
+        assert all(isinstance(e, ConvergenceError) for e in got)
+        assert len({id(e) for e in got}) == len(got)
+        assert len({str(e) for e in got}) == 1
+        for s, e in zip(self.GRID, got):
+            assert _outcome(e) == _alone(f, s, tol=1e-10), s
 
     def test_raising_integrand_gives_every_s_its_own_equal_error(self):
         # radius 1 and no closed form: the series cannot converge at the
         # first node near x = 1
         h = series.handle(catalog.kernel("pi_csc"),
                           catalog.coefficient("const_one"), radius_hint=1.0)
-        run = _series_run(h, 1e-10)
-        errors = []
-        for s in self.GRID:
-            with pytest.raises(ConvergenceError) as info:
-                run(s)
+        errors = _series_run(h, self.GRID, 1e-10)
+        for s, err in zip(self.GRID, errors):
             with pytest.raises(ConvergenceError) as alone:
                 mellin_on_series(h, s, tol=1e-10)
-            errors.append(info.value)
-            assert type(info.value) is type(alone.value)
-            assert str(info.value) == str(alone.value)
-            assert info.value.n_evals == alone.value.n_evals > 0
+            assert type(err) is type(alone.value)
+            assert str(err) == str(alone.value)
+            assert err.n_evals == alone.value.n_evals > 0
         assert len({id(e) for e in errors}) == len(errors)
         assert len({(type(e), str(e)) for e in errors}) == 1
 
@@ -281,13 +375,9 @@ class TestSharedIntegrand:
         seam_check = series.seam_check
         monkeypatch.setattr(series, "seam_check",
                             lambda *a: calls.append(a) or seam_check(*a))
-        run = _series_run(h, 1e-10)
-        raised = []
-        for s in (0.3, 0.6):
-            with pytest.raises(SeamMismatchError) as info:
-                run(s)
-            raised.append(info.value)
+        raised = _series_run(h, (0.3, 0.6), 1e-10)
         assert len(calls) == 1
+        assert all(isinstance(e, SeamMismatchError) for e in raised)
         assert raised[0] is not raised[1] and str(raised[0]) == str(raised[1])
 
 
@@ -346,17 +436,25 @@ class TestLevelSums:
             vals.append((val, h * abs_add))
         return vals
 
+    S = (0.3, 0.8, 0.5 + 0.2j, -0.4)
+
     @pytest.mark.parametrize("node_fn", [mellin._lower_node, mellin._upper_node])
-    @pytest.mark.parametrize("s", [0.3, 0.8, 0.5 + 0.2j, -0.4])
+    @pytest.mark.parametrize("s", S)
     def test_level_sums_match_a_scalar_loop(self, node_fn, s):
+        # the row of s, refined together with the rows of the other s
         def f(x):
             return x * math.exp(-x)
 
-        piece = mellin._Piece(node_fn, f, s, mellin._EvalBudget(10 ** 6), 1e-10)
+        rows = mellin._Rows(list(self.S), [mellin._EvalBudget(10 ** 6) for _ in self.S])
+        piece = mellin._Piece(functools.partial(mellin._node_table, node_fn),
+                              node_fn is mellin._lower_node, f, rows, 1e-10,
+                              mellin._Values())
+        r = self.S.index(s)
         for want, magnitude in self.scalar_levels(node_fn, f, s, 7):
-            piece.refine()
+            piece.refine(list(range(len(self.S))))
             # the arithmetic differs only in the rounding of exp and the sums
-            assert abs(piece.val - want) <= 1e-14 * magnitude
+            assert abs(piece.val[r] - want) <= 1e-14 * magnitude
+        assert rows.errors == [None] * len(self.S)
 
 
 class TestStoppingRule:
