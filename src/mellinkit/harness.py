@@ -34,7 +34,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from . import catalog, series, specfun
-from .errors import MellinkitError, StripViolationError, UnknownIdError
+from .errors import (MellinkitError, RadiusExceededError, StripViolationError,
+                     UnknownIdError)
 from .jets import pm_polynomial
 from .mellin import (MAX_EVALS, QuadResult, Strip, _outcome, _series_run,
                      mellin_on_series, mellin_transforms)
@@ -451,9 +452,12 @@ def verify_conjecture(m: int, coeff_id: str, s_grid=None,
                       tol: float = 1e-6) -> IdentityReport:
     """Run the cosecant-power conjecture at order m for a registered
     coefficient function; m = 1 reduces to the classical master theorem
-    (same code path as the classical registry entry)."""
-    if not 1 <= m <= 4:
-        raise UnknownIdError(f"conjecture order must be 1..4, got {m}")
+    (same code path as the classical registry entry). A coefficient whose
+    series has no value past its radius is refused before any quadrature
+    (see ``check_representable``)."""
+    if m < 1:
+        raise UnknownIdError(f"conjecture order must be at least 1, got {m}")
+    _check_closed_form("pi_csc" if m == 1 else f"pi_csc_pow:{m}", coeff_id)
     case = _conjecture_case(m, coeff_id, tol)
     if s_grid is None:
         s_grid = default_grid(case.strip)
@@ -466,10 +470,25 @@ def integral_representation(kernel_id: str, s, tol: float = 1e-8) -> QuadResult:
     return mellin_on_series(representation_handle(kernel_id), s, tol)
 
 
+def _check_closed_form(kernel_id: str, coeff_id: str) -> None:
+    """Raise RadiusExceededError when the series of the kernel and
+    ``coeff_id`` has a finite radius and no closed form: its integrand has
+    no value past the radius, so no transform of it can be computed."""
+    h = representation_handle(kernel_id, coeff_id)
+    if h.radius_hint is not None and h.closed_form is None:
+        raise RadiusExceededError(
+            f"{kernel_id} with {coeff_id} has no closed form past its series "
+            f"radius {h.radius_hint:g}, so its integrand has no value there")
+
+
 def check_representable(kernel_id: str, s, coeff_id: str = "const_one") -> None:
     """Raise StripViolationError when Re(s) lies outside the strip where
     the kernel's representation with coefficient ``coeff_id`` holds: the
-    g = 1 strip, narrowed to Re(s) < g.delta for any other g."""
+    g = 1 strip, narrowed to Re(s) < g.delta for any other g. Raise
+    RadiusExceededError, whatever s is, when that representation has no
+    closed form past its series radius."""
+    if coeff_id != "const_one":
+        _check_closed_form(kernel_id, coeff_id)
     forms = _FORMS.get(kernel_id.split(":", 1)[0])
     if forms is None or forms.strip is None:
         return

@@ -38,9 +38,10 @@ when it accepts a level or fails. Per level, Re((s-1) log x) + log w is one
 matrix over the active rows, one for real s and one for complex s (a real s
 keeps its real ``exp``). A row skips the nodes where it is below -800
 without calling f, and spends its evaluation budget once per level on the
-nodes it keeps. f is evaluated once per node that any row keeps (see
-Shared integrand). A non-finite value of f, or a
-ValueError/OverflowError/ZeroDivisionError from f, is dropped where the
+nodes it keeps. f is evaluated once per distinct abscissa of the level
+that any row keeps (see Shared integrand). A non-finite value of f, or a
+ValueError/OverflowError/ZeroDivisionError from f other than the library's
+own errors (``MellinkitError``, which pass as raised), is dropped where the
 row's weight is below ``_SKIP_FLOOR`` (its neighbours' terms then judge it,
 see the stopping rule) and raises SingularIntegrandError for that row above
 it. The terms w exp((s-1) log x) f(x) are formed as one matrix; where
@@ -84,21 +85,22 @@ last one exceeds the others only near Re(s) = 0 (below about 0.05 on the
 registered identities).
 
 Shared integrand. ``_series_run`` is the one run builder: one
-``harness.verify`` call, property check or ad-hoc transform is one run over
-many s on one series handle, and ``mellin_transforms`` (of which
+``harness.verify`` call, property check or ad-hoc transform is one run
+over many s on one series handle, and ``mellin_transforms`` (of which
 ``mellin_transform`` is the one-s case) the one DE pass. The half period
 rides on the handle (f is then the closed form, under
 ``mellin_oscillatory``, one call per s). A run checks the seam once, gives
-every s its own evaluation budget, and keeps f's values in ``_Values``, per
-node table; an abscissa that several tables share (far out, many nodes of
-both DE pieces round to x = 1.0) is evaluated for one of them and looked up
-by the others, so f is called once per distinct abscissa across the levels,
-the pieces and the s. An exception f raises at a node
-is kept with it; each row that uses the node gets it, the first the
-exception itself and the others a fresh one of the same class and
-arguments. The values belong to the run and die with it. A value for one s
-does not depend on which other s share its run: f is a deterministic
-function of x.
+every s its own evaluation budget, and keeps f's values in ``_Values``,
+per node table, so f is called once per distinct abscissa of each table
+that the run uses, for all of its s. Tables do not share values: the DE
+nodes crowd double exponentially toward the ends of each piece, so many
+nodes of every table of both pieces round to x = 1.0, which is evaluated
+once per table (sharing it across tables saved about 2% of the benchmark's
+calls). An exception f raises at a node is kept with the table; each row
+that uses the node gets it, the first the exception itself and the others
+a fresh one of the same class and arguments. The values belong to the run
+and die with it. A value for one s does not depend on which other s share
+its run: f is a deterministic function of x.
 """
 
 from __future__ import annotations
@@ -216,13 +218,6 @@ def _upper_node(t: float):
     return 1.0 + e, math.log1p(e), PI_HALF * math.cosh(t) * e
 
 
-#: every distinct abscissa of the node tables built so far, numbered in the
-#: order it first appeared
-_NODE_IDS: dict = {}
-#: node number -> [(table, first node of the table with it), ...]
-_NODE_HOMES: dict = {}
-
-
 class _NodeLevel:
     """The nodes one DE level adds to one piece: abscissae x (as an array
     and as Python floats, the form the integrand takes), log x, the
@@ -230,16 +225,13 @@ class _NodeLevel:
     (t and -t form one pair; t = 0 is a pair of its own), the index and
     log x of the smallest node, ``inward``: per node of pair p, the
     index of the node of pair p - 1 on its side of t = 0 (-1 where the
-    level has none), ``gid``: each node's number in ``_NODE_IDS``,
-    ``first_of``: the first node of the level with the same abscissa
-    (``uniq`` lists those nodes, ``uniq_xs`` and ``uniq_gid`` their
-    abscissae and numbers, ``uniq_inv`` each node's place among them, None
-    where all differ), ``cross``: the places among them of the abscissae
-    that other tables have too, and the largest |log x|."""
+    level has none), the distinct abscissae ``uniq_xs`` in table order
+    (about a quarter of a table's nodes round to the end x = 1.0 of its
+    piece), ``uniq_inv``: each node's place among them (None where all
+    differ), and the largest |log x|."""
 
     __slots__ = ("xs", "x", "lnx", "w", "lw", "pair", "n_pairs", "low", "low_lnx",
-                 "inward", "gid", "first_of", "uniq", "uniq_xs", "uniq_gid", "uniq_inv",
-                 "cross", "max_abs_lnx", "_bins")
+                 "inward", "uniq_xs", "uniq_inv", "max_abs_lnx", "_bins")
 
     def __init__(self, nodes: list, n_pairs: int, inward=None):
         columns = [np.array(c, dtype=float) for c in zip(*nodes)] if nodes \
@@ -251,24 +243,10 @@ class _NodeLevel:
         self.low = int(self.lnx.argmin()) if nodes else -1
         self.low_lnx = self.lnx[self.low].item() if nodes else math.inf
         self.inward = [-1] * len(nodes) if inward is None else inward
-        ids = _NODE_IDS
-        gid = [ids.setdefault(x, len(ids)) for x in self.xs]
-        self.gid = np.array(gid, dtype=np.intp)
-        first = {}
-        self.first_of = np.array([first.setdefault(g, i) for i, g in enumerate(gid)],
-                                 dtype=np.intp)
-        self.uniq = np.array(sorted(first.values()), dtype=np.intp)
-        self.uniq_xs = self.x[self.uniq].tolist()
-        self.uniq_gid = [gid[i] for i in self.uniq.tolist()]
-        self.uniq_inv = None if self.uniq.size == len(gid) else \
-            np.searchsorted(self.uniq, self.first_of)
-        self.cross = set()
-        for k, (g, i) in enumerate(zip(self.uniq_gid, self.uniq.tolist())):
-            homes = _NODE_HOMES.setdefault(g, [])
-            for table, j in homes:
-                self.cross.add(k)
-                table.cross.add(int(np.searchsorted(table.uniq, j)))
-            homes.append((self, i))
+        place = {}
+        inv = [place.setdefault(x, len(place)) for x in self.xs]
+        self.uniq_xs = list(place)
+        self.uniq_inv = None if len(place) == len(inv) else np.array(inv, dtype=np.intp)
         self.max_abs_lnx = float(np.abs(self.lnx).max()) if nodes else 0.0
         self._bins = {}
 
@@ -339,48 +317,65 @@ _UPPER = functools.partial(_node_table, _upper_node)
 
 class _TableValues:
     """f at the nodes of one table for one run: ``fv`` per node (0 where not
-    evaluated), ``done`` the nodes evaluated (None: all of them), and
-    ``cplx`` where f returned a complex (None: nowhere)."""
+    evaluated), ``done`` the nodes evaluated (None: all of them), ``cplx``
+    where f returned a complex (None: nowhere), and ``raised``: the
+    exceptions f raised, by place among the table's distinct abscissae,
+    each with whether a row has had it yet."""
 
-    __slots__ = ("fv", "done", "cplx")
+    __slots__ = ("fv", "done", "cplx", "raised")
 
     def __init__(self, fv, done=None, cplx=None):
         self.fv, self.done, self.cplx = fv, done, cplx
-
-
-_MISSING = object()
-
-
-class _Values:
-    """f at the nodes of one run, evaluated once per distinct abscissa: per
-    node table, the values at its nodes (``_TableValues``); an abscissa that
-    several tables share (far out, nodes of every level of both DE pieces
-    round to x = 1.0) is evaluated by the first of them and looked up by the
-    others (``shared``).
-
-    A ValueError, OverflowError or ZeroDivisionError from f is kept as nan,
-    as a non-finite value is. Any other exception is kept, by node number,
-    as raised: the first row that uses its node gets it, every later one a
-    fresh exception of the same class and arguments."""
-
-    __slots__ = ("tables", "shared", "raised")
-
-    def __init__(self):
-        self.tables: dict = {}
-        self.shared: dict = {}  # node number -> f there
-        self.raised: dict = {}  # node number -> [exception, handed out yet]
+        self.raised: dict = {}  # place -> [exception, handed out yet]
 
     def raised_at(self, lv: _NodeLevel) -> np.ndarray:
         """Which nodes of ``lv`` hold an exception."""
-        return np.isin(lv.gid, list(self.raised))
+        places = np.arange(lv.x.size) if lv.uniq_inv is None else lv.uniq_inv
+        return np.isin(places, list(self.raised))
 
-    def take(self, node: int) -> Exception:
-        """The exception f raised at node number ``node``, for one row."""
-        held = self.raised[node]
+    def take(self, lv: _NodeLevel, node: int) -> Exception:
+        """The exception f raised at node ``node`` of ``lv``, for one row:
+        the first row gets the exception itself, every later one a fresh
+        exception of the same class and arguments."""
+        held = self.raised[node if lv.uniq_inv is None else int(lv.uniq_inv[node])]
         if held[1]:
             return type(held[0])(*held[0].args)
         held[1] = True
         return held[0]
+
+
+def _evaluate(f, pts: list) -> tuple:
+    """f at ``pts`` in order, stopping at the first where f raised other
+    than as nan: (the values before it, its exception or None). A
+    ValueError, OverflowError or ZeroDivisionError from f is kept as nan,
+    as a non-finite value is, unless it is a ``MellinkitError``: the
+    library's own errors, such as a series asked for a value past its
+    radius, pass as raised."""
+    vals = []
+    append = vals.append
+    while True:
+        try:
+            for x in pts[len(vals):]:
+                append(f(x))
+            return vals, None
+        except MellinkitError as exc:
+            return vals, exc
+        except (ValueError, OverflowError, ZeroDivisionError):
+            append(math.nan)
+        except Exception as exc:  # handed to every row that uses the node
+            return vals, exc
+
+
+class _Values:
+    """f at the nodes of one run, per node table (``_TableValues``): f is
+    called once per distinct abscissa of each table the run uses, across
+    its rows and levels. Tables do not share values, so an abscissa that
+    several tables have, such as x = 1.0, is evaluated once per table."""
+
+    __slots__ = ("tables",)
+
+    def __init__(self):
+        self.tables: dict = {}
 
     def fill(self, f, lv: _NodeLevel, keep) -> _TableValues:
         """f at the nodes of ``lv`` that the rows need. ``keep`` masks the
@@ -388,10 +383,9 @@ class _Values:
         them up to the first whose f raised. f is called, in table order,
         once per abscissa needed and not evaluated yet."""
         ent = self.tables.get(lv)
-        if ent is None and keep is None and not self.raised:
-            places = range(len(lv.uniq_xs))
-            vals = self._evaluate(f, lv, places)
-            if len(vals) == len(places):
+        if ent is None and keep is None:
+            vals, exc = _evaluate(f, lv.uniq_xs)
+            if exc is None:
                 fv = np.array(vals)
                 cplx = None
                 if fv.dtype.kind == "c":
@@ -400,14 +394,12 @@ class _Values:
                     fv, cplx = fv[lv.uniq_inv], None if cplx is None else cplx[lv.uniq_inv]
                 ent = self.tables[lv] = _TableValues(fv, None, cplx)
                 return ent
-            self._store(lv, places, vals)
-        while True:
-            ent = self.tables.get(lv)
-            if ent is not None and ent.done is None:
-                return ent
+            ent = self._store(lv, range(len(lv.uniq_xs)), vals)
+            ent.raised[len(vals)] = [exc, False]
+        while ent is None or ent.done is not None:
             need = np.ones((1, lv.x.size), dtype=bool) if keep is None else keep
-            if self.raised:
-                need = need & (np.cumsum(need & self.raised_at(lv), axis=1) == 0)
+            if ent is not None and ent.raised:
+                need = need & (np.cumsum(need & ent.raised_at(lv), axis=1) == 0)
             need = need.any(axis=0)
             if ent is not None:
                 need &= ~ent.done
@@ -415,10 +407,12 @@ class _Values:
             places = np.unique(need.nonzero()[0] if inv is None else inv[need]).tolist()
             if not places:
                 return ent if ent is not None else self._store(lv, [], [])
-            vals = self._evaluate(f, lv, places)
+            vals, exc = _evaluate(f, [lv.uniq_xs[k] for k in places])
             ent = self._store(lv, places, vals)
-            if len(vals) == len(places):
-                return ent
+            if exc is None:
+                break
+            ent.raised[places[len(vals)]] = [exc, False]
+        return ent
 
     def _store(self, lv: _NodeLevel, places, vals: list) -> _TableValues:
         """Enter f at the first ``len(vals)`` of ``places`` (places among the
@@ -448,61 +442,6 @@ class _Values:
         if ent.done.all():
             ent.done = None
         return ent
-
-    def _evaluate(self, f, lv: _NodeLevel, places) -> list:
-        """f at ``places`` (places among the distinct abscissae of ``lv``, in
-        order: a range from 0, or a list), stopping at one where f raised
-        (other than as nan): the values before it. An abscissa other tables
-        share is looked up where another table of the run has it, and kept
-        for them otherwise."""
-        if isinstance(places, range):
-            pts, cuts = lv.uniq_xs, sorted(lv.cross)
-        else:
-            pts = [lv.uniq_xs[k] for k in places]
-            cuts = [i for i, k in enumerate(places) if k in lv.cross]
-        vals = []
-        append = vals.append
-        for c in cuts + [len(pts)]:
-            while len(vals) < c:
-                try:
-                    for x in pts[len(vals):c]:
-                        append(f(x))
-                except (ValueError, OverflowError, ZeroDivisionError):
-                    append(math.nan)
-                except Exception as exc:  # handed to every row that uses the node
-                    self.raised[lv.uniq_gid[places[len(vals)]]] = [exc, False]
-                    return vals
-            if c == len(pts):
-                return vals
-            g = lv.uniq_gid[places[c]]
-            if g in self.raised:
-                return vals
-            v = self._shared(g)
-            if v is _MISSING:
-                try:
-                    v = f(pts[c])
-                except (ValueError, OverflowError, ZeroDivisionError):
-                    v = math.nan
-                except Exception as exc:  # handed to every row that uses the node
-                    self.raised[g] = [exc, False]
-                    return vals
-                self.shared[g] = v
-            append(v)
-        return vals
-
-    def _shared(self, g: int):
-        """f at node number ``g`` if the run has it, else ``_MISSING``."""
-        v = self.shared.get(g, _MISSING)
-        if v is _MISSING:
-            for table, i in _NODE_HOMES[g]:
-                ent = self.tables.get(table)
-                if ent is not None and (ent.done is None or ent.done[i]):
-                    v = ent.fv[i].item()
-                    if ent.cplx is not None and not ent.cplx[i]:
-                        v = v.real
-                    self.shared[g] = v
-                    break
-        return v
 
 
 def _log_space_term(arg, lw: float, fv, x: float):
@@ -614,9 +553,10 @@ class _Piece:
         prefactor is negligible, spend each row's budget, screen the rows
         whose f raised or is not finite at a kept node, and sum the terms
         of the others. Rows with no kept node sum to 0."""
-        run, values = self.rows, self.values
-        arg = (run.sm1[rows[0]] * lv.lnx)[None] if len(rows) == 1 else \
-            np.array([run.sm1[r] for r in rows])[:, None] * lv.lnx
+        run = self.rows
+        with np.errstate(over="ignore"):  # |s| near the largest double
+            arg = (run.sm1[rows[0]] * lv.lnx)[None] if len(rows) == 1 else \
+                np.array([run.sm1[r] for r in rows])[:, None] * lv.lnx
         re_arg = arg.real if arg.dtype.kind == "c" else arg
         log_pref = re_arg + lv.lw[None]
         # a prefactor below e^-800 underflows past any log-bounded growth
@@ -640,20 +580,20 @@ class _Piece:
                 return
             rows = [rows[i] for i in live]
             arg, re_arg, log_pref, keep = arg[live], re_arg[live], log_pref[live], keep[live]
-        ent = values.fill(self.f, lv, None if full else keep)
+        ent = self.values.fill(self.f, lv, None if full else keep)
         fv = ent.fv
         finite = np.isfinite(fv)
         bad = None if np.count_nonzero(finite) == finite.size else ~finite
         dropped = {}
-        if bad is not None or values.raised:
-            hit = keep & values.raised_at(lv) if values.raised else None
+        if bad is not None or ent.raised:
+            hit = keep & ent.raised_at(lv) if ent.raised else None
             live = []
             for i, r in enumerate(rows):
                 if hit is not None and hit[i].any():
                     # f raised at a kept node: screen the nodes before it
                     j = int(hit[i].argmax())
                     run.fail(r, _screened(lv, keep[i, :j].nonzero()[0], bad, log_pref[i])
-                             or values.take(int(lv.gid[j])))
+                             or ent.take(lv, j))
                     continue
                 if bad is not None:
                     nodes = (keep[i] & bad).nonzero()[0]
@@ -877,11 +817,12 @@ def mellin_transforms(f: Callable[[float], float], ss, tol: float = 1e-10,
     transform ended with.
 
     Every s is a row of both pieces, refined level by level in one pass
-    over the rows still active, and f is evaluated once per node any row
-    uses. Each row keeps its own level sums, budget of ``max_evals`` and
-    errors, so its outcome does not depend on the other rows: value,
-    err_abs, n_evals and converged, or the error's class, message and
-    n_evals, are those of ``mellin_transform(f, s)``.
+    over the rows still active, and f is evaluated once per distinct
+    abscissa of a level that any row uses. Each row keeps its own level
+    sums, budget of ``max_evals`` and errors, so its outcome does not depend
+    on the other rows: value, err_abs, n_evals and converged, or the
+    error's class, message and n_evals, are those of
+    ``mellin_transform(f, s)``.
 
     Each piece first converges to 0.5 tol relative to itself. When a row's
     pieces cancel, so that their errors exceed tol relative to the total,

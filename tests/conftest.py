@@ -1,4 +1,5 @@
-"""Shared test helpers: independent numeric oracles."""
+"""Shared test helpers: independent numeric oracles, and a spy on the
+quadrature's integrand values."""
 
 import cmath
 import math
@@ -6,6 +7,7 @@ import math
 import pytest
 from hypothesis import settings
 
+from mellinkit import mellin
 from mellinkit.jets import eval_row
 
 # quadrature time varies from run to run, and every run draws the same
@@ -59,6 +61,27 @@ def richardson_fd(f, s, order, h0=1e-2, levels=4):
 @pytest.fixture
 def residue_oracle():
     return contour_residue
+
+
+@pytest.fixture
+def calls_by_table(monkeypatch):
+    """node table -> the abscissae at which the integrand was called, in
+    call order, while a run filled that table's values (every run of the
+    test; clear it between runs)."""
+    calls = {}
+    fill = mellin._Values.fill
+
+    def spy(values, f, lv, keep):
+        xs = calls.setdefault(lv, [])
+
+        def counted(x):
+            xs.append(x)
+            return f(x)
+
+        return fill(values, counted, lv, keep)
+
+    monkeypatch.setattr(mellin._Values, "fill", spy)
+    return calls
 
 
 # ---------------------------------------------------------------------------

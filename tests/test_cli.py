@@ -99,6 +99,23 @@ class TestUsageErrors:
         assert rc == cli.EXIT_USAGE and out == ""
         assert err == f"error: {msg}\n"
 
+    # radius 1 and no closed form: the integrand has no value past x = 1
+    @pytest.mark.parametrize("argv", [
+        ("mellin", "--kernel", "pi_csc_pow:3", "--coeff", "inv_gamma", "--s", "0.3"),
+        ("mellin", "--kernel", "pi_csc", "--coeff", "sin_gamma", "--s", "0.3"),
+        ("mellin", "--kernel", "gamma_squared", "--coeff", "inv_linear", "--s", "0.3"),
+        ("conjecture", "--m", "3", "--g", "inv_gamma"),
+    ])
+    def test_pair_without_values_past_the_radius(self, capsys, no_quadrature, argv):
+        rc, out, err = _run(capsys, *argv)
+        assert rc == cli.EXIT_USAGE and out == ""
+        assert err.startswith("error:") and "no closed form past its series radius" in err
+
+    def test_conjecture_order_must_be_positive(self, capsys, no_quadrature):
+        rc, out, err = _run(capsys, "conjecture", "--m", "0", "--g", "const_one")
+        assert rc == cli.EXIT_USAGE and out == ""
+        assert err == "error: conjecture order must be at least 1, got 0\n"
+
 
 class TestParser:
     def test_parser_is_built_once(self):
@@ -239,6 +256,20 @@ class TestMellinRuns:
             smp = want[s]
             assert (complex(doc["lhs_re"], doc["lhs_im"]), doc["err_abs"],
                     doc["n_evals"]) == (smp.lhs, smp.err_abs, smp.n_evals), s
+
+    def test_overflowing_s_prints_only_its_diagnostic(self, capsys, recwarn):
+        # (s - 1) log x overflows at |s| ~ 1e308; numpy warns of nothing
+        rc, out, err = _run(capsys, "mellin", "--kernel", "gamma", "--s", "1e308")
+        assert rc == cli.EXIT_NUMERIC and out == ""
+        assert err == ("numeric failure: integrand contribution overflows at x=2.0; "
+                       "the transform diverges at this s\n")
+        assert not recwarn.list
+
+    def test_conjecture_runs_past_order_four(self, capsys):
+        rc, out, err = _run(capsys, "conjecture", "--m", "5", "--g", "const_one",
+                            "--s", "0.3", "--tol", "1e-8")
+        assert rc == cli.EXIT_PASS and err == ""
+        assert json.loads(out)["cases"][0]["id"] == "conjecture:m=5:const_one"
 
     def test_coeff_pi_csc_inv_gamma_matches_mpmath(self, capsys):
         grid = [0.3, 0.55, 0.4 + 0.2j]

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mellinkit import catalog, cli, harness, mellin, series, specfun
-from mellinkit.errors import MellinkitError, StripViolationError, UnknownIdError
+from mellinkit.errors import (MellinkitError, RadiusExceededError, StripViolationError,
+                              UnknownIdError)
 
 PI = math.pi
 
@@ -162,10 +163,15 @@ class TestSharedIntegrand:
         alone.sort(key=lambda r: (r.s.real, r.s.imag))
         assert _fingerprint(rep.samples) == _fingerprint(alone)
 
-    def test_each_node_is_evaluated_once_per_verify(self, monkeypatch):
+    def test_each_node_is_evaluated_once_per_table_of_a_verify(self, monkeypatch,
+                                                                  calls_by_table):
         xs = _count_series_evals(monkeypatch)
         rep = harness.verify("gamma_squared_rep")
-        assert len(xs) == len(set(xs))
+        # every series evaluation fills a node table, once per distinct
+        # abscissa of it; x = 1.0 ends many tables and is evaluated in each
+        assert sorted(xs) == sorted(x for calls in calls_by_table.values() for x in calls)
+        assert all(len(calls) == len(set(calls)) for calls in calls_by_table.values())
+        assert xs.count(1.0) == sum(1.0 in lv.uniq_xs for lv in calls_by_table) > 1
         # the samples requested f at each node once per s
         assert sum(r.n_evals for r in rep.samples) >= 5 * len(xs)
 
@@ -301,10 +307,23 @@ class TestConjecture:
             assert abs(smp.lhs - want) <= 1e-12 * abs(want), smp.s
 
     def test_order_bounds(self):
-        with pytest.raises(UnknownIdError):
-            harness.verify_conjecture(5, "const_one")
-        with pytest.raises(UnknownIdError):
-            harness.verify_conjecture(0, "const_one")
+        # any order m >= 1 runs; m = 5 is checked against mpmath below
+        for m in (0, -1):
+            with pytest.raises(UnknownIdError):
+                harness.verify_conjecture(m, "const_one")
+
+    @pytest.mark.parametrize("m", [5, 8, 12, 16])
+    def test_const_one_at_high_order_matches_mpmath(self, m):
+        # the g = 1 closed form P_m(log x) / (1 - (-1)^m x) is written once
+        # for every m; the rhs is (-1)^{m-1} (m-1)! (pi / sin(pi s))^m
+        rep = harness.verify_conjecture(m, "const_one", tol=1e-8)
+        assert rep.passed and rep.max_rel_err <= 1e-12
+        for smp in rep.samples:
+            with mpmath.workdps(30):
+                t = mpmath.mpc(smp.s.real, smp.s.imag)
+                want = complex((-1) ** (m - 1) * mpmath.factorial(m - 1)
+                               * (mpmath.pi / mpmath.sin(mpmath.pi * t)) ** m)
+            assert abs(smp.lhs - want) <= 1e-12 * abs(want), smp.s
 
     def test_m4_const_one_passes_and_matches_mpmath(self):
         # the cosecant-power closed form is written once for every m, so
@@ -338,12 +357,14 @@ class TestConjecture:
         rep = harness.verify_conjecture(3, "power_a:0.5", s_grid=[0.3, 0.6])
         assert rep.passed and rep.max_rel_err <= 1e-12
 
-    def test_unregistered_closed_form_surfaces_errors(self):
-        # m=4 has no closed form: the transform cannot leave the radius and
-        # every sample records the failure instead of crashing
-        rep = harness.verify_conjecture(4, "inv_linear", s_grid=[0.5], tol=1e-6)
-        assert not rep.passed
-        assert rep.samples[0].error is not None
+    @pytest.mark.parametrize("m,gid", [(4, "inv_linear"), (3, "inv_gamma"),
+                                       (8, "inv_gamma"), (1, "sin_gamma")])
+    def test_unregistered_closed_form_surfaces_errors(self, monkeypatch, m, gid):
+        # radius 1 and no closed form: the pair is refused before any
+        # quadrature, which could not leave the radius
+        monkeypatch.setattr(mellin._EvalBudget, "spend", None)
+        with pytest.raises(RadiusExceededError, match="no closed form past its series"):
+            harness.verify_conjecture(m, gid, s_grid=[0.5], tol=1e-6)
 
 
 class TestIntegralRepresentation:

@@ -9,7 +9,8 @@ import pytest
 
 from mellinkit import catalog, harness, mellin, series, specfun
 from mellinkit.errors import (AccelerationFailureError, ConvergenceError,
-                              SeamMismatchError, SingularIntegrandError)
+                              RadiusExceededError, SeamMismatchError,
+                              SingularIntegrandError)
 from mellinkit.mellin import (QuadResult, Strip, _series_run, mellin_on_series,
                               mellin_oscillatory, mellin_transform,
                               mellin_transforms)
@@ -311,9 +312,11 @@ class TestSharedIntegrand:
         assert [type(o).__name__ for o in outs] == [
             "QuadResult", "ConvergenceError", "QuadResult", "ConvergenceError"]
 
-    def test_values_are_computed_once_per_abscissa(self):
-        # every abscissa that any s uses, across both pieces and all
-        # levels, is evaluated once; x = 1.0 ends many node tables
+    def test_values_are_computed_once_per_abscissa_of_a_table(self, calls_by_table):
+        # f is called once per distinct abscissa of each node table the run
+        # uses, across its s and levels; tables keep their own values, so
+        # x = 1.0, which ends many tables of both pieces, is called once
+        # per table that has it
         calls = []
 
         def f(x):
@@ -321,18 +324,21 @@ class TestSharedIntegrand:
             return math.exp(-x)
 
         mellin_transforms(f, self.GRID, tol=1e-12)
-        assert len(calls) == len(set(calls)) and 1.0 in calls
-        alone = set()
+        run = {lv: sorted(xs) for lv, xs in calls_by_table.items()}
+        # every row keeps every node of e^-x on this grid
+        assert run == {lv: sorted(lv.uniq_xs) for lv in run}
+        assert len(calls) == sum(len(lv.uniq_xs) for lv in run)
+        assert calls.count(1.0) == sum(1.0 in lv.uniq_xs for lv in run) > 1
+        # each s alone calls f at the same abscissae of the same tables
+        tables = set()
         for s in self.GRID:
-            calls.clear()
+            calls_by_table.clear()
             mellin_transform(f, s, tol=1e-12)
-            assert len(calls) == len(set(calls))
-            alone |= set(calls)
-        calls.clear()
-        mellin_transforms(f, self.GRID, tol=1e-12)
-        assert set(calls) == alone
+            assert all(sorted(xs) == run[lv] for lv, xs in calls_by_table.items()), s
+            tables |= set(calls_by_table)
+        assert tables == set(run)
 
-    def test_raised_value_reaches_each_row_as_its_own_error(self):
+    def test_raised_value_reaches_each_row_as_its_own_error(self, calls_by_table):
         # f raises (not as nan) from x = 3 on: each row stops there, with an
         # equal but distinct error carrying its own evaluation count
         calls = []
@@ -345,12 +351,30 @@ class TestSharedIntegrand:
 
         got = mellin_transforms(f, self.GRID, tol=1e-10)
         assert calls.count(min(x for x in calls if x >= 3.0)) == 1
-        assert len(calls) == len(set(calls))
+        assert all(len(xs) == len(set(xs)) for xs in calls_by_table.values())
+        assert len(calls) == sum(map(len, calls_by_table.values()))
         assert all(isinstance(e, ConvergenceError) for e in got)
         assert len({id(e) for e in got}) == len(got)
         assert len({str(e) for e in got}) == 1
         for s, e in zip(self.GRID, got):
             assert _outcome(e) == _alone(f, s, tol=1e-10), s
+
+    def test_library_error_from_f_is_not_a_singular_integrand(self):
+        # a MellinkitError from f, such as a series asked for a value past
+        # its radius, reaches the rows as raised; a plain ValueError is a
+        # value f cannot give there, screened as nan
+        def f(exc_type):
+            def g(x):
+                if x > 2.0:
+                    raise exc_type(f"no value at {x!r}")
+                return math.exp(-x)
+            return g
+
+        got = mellin_transforms(f(RadiusExceededError), (0.3, 0.6), tol=1e-10)
+        assert [type(e) for e in got] == [RadiusExceededError] * 2
+        assert got[0] is not got[1] and str(got[0]) == str(got[1])
+        with pytest.raises(SingularIntegrandError, match="integrand failed at x="):
+            mellin_transform(f(ValueError), 0.3, tol=1e-10)
 
     def test_raising_integrand_gives_every_s_its_own_equal_error(self):
         # radius 1 and no closed form: the series cannot converge at the
