@@ -16,14 +16,21 @@ and an expected status:
 Closed forms and representations come from one table, ``_FORMS``, keyed by
 kernel name. Each entry holds the strip of the kernel's g = 1
 representation, the closed form of its g = 1 series for each kernel
-parameter m, its series mode, and the closed forms for the few
-coefficients g outside {1, a^z}. A coefficient g = a^z needs no entry:
+parameter m, and the closed forms for the few coefficients g outside
+{1, a^z}. A coefficient g = a^z needs no entry:
 g(-z) x^{-z} = (a x)^{-z}, so its series is the g = 1 series at a x. Every
 series handle, of an identity, of a g = 1 representation or of an ad-hoc
 (kernel, coefficient) pair, comes from ``representation_handle``, and
 ``check_representable`` reads the same table. A handle whose closed form
 oscillates carries its half period, which selects the oscillatory rule in
 ``mellin._series_run``.
+
+The cosecant-power conjecture is the master theorem at the order-m poles of
+h = (pi/sin(pi z))^m: its summands (-1)^{mk} [P_m(d/dz + log x) g](k) x^k
+are c_m = (-1)^{m-1} (m-1)! times the residues of h(z) g(-z) x^{-z}, as an
+exact identity of polynomials in pi^2. So a conjecture case runs h's own
+series (the table's forms carry no c_m) scaled by c_m, rows and closed form
+alike, against the conjecture's right-hand side c_m h(s) g(-s).
 """
 
 from __future__ import annotations
@@ -103,36 +110,43 @@ def _log_over_one_minus(x: float) -> float:
 
 
 def _dilog_combo(x: float) -> float:
-    # sum over n of [P_2(d/dz + log x) 1/(z+1)](n) x^n; the sum evaluates to
-    # MINUS the combination (log(1-x) log x + Li2(x))/x (verified by direct
-    # term summation and independent quadrature)
+    # the residue series of (pi/sin(pi z))^2 with g = 1/(z+1):
+    # (log(1-x) log x + Li2(x))/x (verified by direct term summation and
+    # independent quadrature)
     if x < 1.0:
-        return -(math.log1p(-x) * math.log(x) + specfun.polylog(2, x)) / x
-    return -specfun.re_combo2(x) / x
+        return (math.log1p(-x) * math.log(x) + specfun.polylog(2, x)) / x
+    return specfun.re_combo2(x) / x
 
 
 def _trilog_combo(x: float) -> float:
+    # the residue series of (pi/sin(pi z))^3 with g = 1/(z+1)
     lx = math.log(x)
-    return (PI * PI * math.log1p(x) + lx * lx * math.log1p(x)
-            + 2.0 * lx * specfun.polylog(2, -x)
-            - 2.0 * specfun.polylog(3, -x)) / x
+    return 0.5 * (PI * PI * math.log1p(x) + lx * lx * math.log1p(x)
+                  + 2.0 * lx * specfun.polylog(2, -x)
+                  - 2.0 * specfun.polylog(3, -x)) / x
+
+
+def _csc_power_scale(m: int) -> int:
+    """c_m = (-1)^{m-1} (m-1)!: the conjecture's summands over the residues
+    of (pi/sin(pi z))^m."""
+    return (-1) ** (m - 1) * math.factorial(m - 1)
 
 
 def _csc_power_weight(m: int):
-    """P_m(log x) / (1 - (-1)^m x): the g = 1 conjecture series of order m,
-    which carries the factor (-1)^{m-1} (m-1)! of the conjecture. For even
-    m, P_m(L) = L Q(L) and log(x)/(1 - x) is taken continuously through
-    x = 1."""
-    coeffs = pm_polynomial(m).coeffs
+    """P_m(log x) / (c_m (1 - (-1)^m x)): the g = 1 residue series of
+    (pi/sin(pi z))^m. For even m, P_m(L) = L Q(L) and log(x)/(1 - x) is
+    taken continuously through x = 1."""
+    coeffs = pm_polynomial(m)
     if m % 2 == 0:
         coeffs = coeffs[1:]
+    c = _csc_power_scale(m)
 
     def q(lx: float) -> float:
         return sum(a * lx ** p for p, a in enumerate(coeffs) if a)
 
     if m % 2:
-        return lambda x: q(math.log(x)) / (1.0 + x)
-    return lambda x: q(math.log(x)) * _log_over_one_minus(x)
+        return lambda x: q(math.log(x)) / (1.0 + x) / c
+    return lambda x: q(math.log(x)) * _log_over_one_minus(x) / c
 
 
 @dataclass(frozen=True)
@@ -142,7 +156,6 @@ class _Forms:
     strip: Optional[tuple]  # Re(s) range of the g = 1 representation
     one: Callable           # m -> closed form of the g = 1 series
     by_coeff: dict = field(default_factory=dict)  # (m, coeff id) -> closed form
-    mode: str = "residue"
     radius: Optional[float] = None  # used where the coefficient has no growth data
     half_period: float = 0.0        # > 0: the g = 1 form oscillates (oscillatory rule)
 
@@ -165,10 +178,9 @@ _FORMS = {
     "pi_csc_deriv": _Forms((0.0, 1.0),
                            lambda m: lambda x: math.log(x) ** m / (1.0 + x)),
     "pi_csc_pow": _Forms((0.0, 1.0), _csc_power_weight,
-                         {(2, "inv_gamma"): lambda x: -specfun.expx_gamma0(x),
+                         {(2, "inv_gamma"): specfun.expx_gamma0,
                           (2, "inv_linear"): _dilog_combo,
-                          (3, "inv_linear"): _trilog_combo},
-                         mode="conjecture", radius=1.0),
+                          (3, "inv_linear"): _trilog_combo}, radius=1.0),
     "psi": _Forms(None, lambda m: lambda x: -1.0 / (1.0 - x)),
 }
 
@@ -198,8 +210,7 @@ def representation_handle(kernel_id: str, coeff_id: str = "const_one") -> series
     m = int(param) if param else 0
     closed_form, half_period = _closed_form(forms, m, coeff_id)
     return series.handle(
-        kern, coeff, mode=forms.mode, m=m if forms.mode == "conjecture" else 0,
-        radius_hint=series.theorem_radius(coeff) or forms.radius,
+        kern, coeff, radius_hint=series.theorem_radius(coeff) or forms.radius,
         closed_form=closed_form, half_period=half_period)
 
 
@@ -352,15 +363,17 @@ def _conjecture_case(m: int, coeff_id: str, tol: float = 1e-6) -> IdentityCase:
         return _classical_rmt_case(coeff_id, tol,
                                    case_id=f"conjecture:m=1:{coeff_id}")
     h = representation_handle(f"pi_csc_pow:{m}", coeff_id)
-    g = h.coeff
-    sign = 1.0 if (m - 1) % 2 == 0 else -1.0
-    fac = math.factorial(m - 1)
+    g, f, c = h.coeff, h.closed_form, _csc_power_scale(m)
+    # c times h's series: rows from the jets of c g, and c times its closed
+    # form (every registered or checked pair has one)
+    scaled = series.handle(h.kernel, catalog.scaled(c, g), radius_hint=h.radius_hint,
+                           closed_form=lambda x: c * f(x))
 
     def rhs(s):
-        return sign * fac * specfun.csc_power(m, complex(s)) * g.eval(-complex(s))
+        return c * specfun.csc_power(m, complex(s)) * g.eval(-complex(s))
 
     return IdentityCase(
-        id=f"conjecture:m={m}:{coeff_id}", lhs=_lhs(h), rhs=rhs,
+        id=f"conjecture:m={m}:{coeff_id}", lhs=_lhs(scaled), rhs=rhs,
         strip=Strip(0.0, min(1.0, g.delta)), tags=("conjecture",),
         expected_status="conjectural", default_tol=tol)
 

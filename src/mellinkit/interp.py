@@ -130,15 +130,10 @@ def sequence_from_csv(path, normalization: str,
     return SequenceData(tuple(v for _, v in rows), normalization, cf)
 
 
-def sequence_from_json(source) -> SequenceData:
-    """Build from a JSON document {values, normalization, closed_form?}."""
-    if isinstance(source, (str, bytes)):
-        doc = json.loads(source)
-    elif isinstance(source, dict):
-        doc = source
-    else:
-        with open(source) as fh:
-            doc = json.load(fh)
+def sequence_from_json(path) -> SequenceData:
+    """Read a JSON document {values, normalization, closed_form?}."""
+    with open(path) as fh:
+        doc = json.load(fh)
     cf = closed_form(doc["closed_form"]) if doc.get("closed_form") else None
     return SequenceData(tuple(doc["values"]), doc.get("normalization", "factorial"), cf)
 

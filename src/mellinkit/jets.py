@@ -6,11 +6,14 @@ The central objects:
 * ``Jet`` -- the stack g(k), g'(k), ..., g^(M)(k) of derivatives of a
   coefficient function at a non-negative integer base point.
 * ``shift_row`` -- [(d/dz + log x)^m g](k), expanded binomially.
-* ``PmPolynomial`` / ``pm_row`` -- the recursive polynomial family
-  P_1 = 1, P_2 = x, P_m = (x^2 + (m-2)^2 pi^2) P_{m-2} applied to the shift
-  operator (the cosecant-power summands).
 * ``residue_row`` -- the residue of h(z) g(-z) x^{-z} at z = -k, divided by
   x^k, assembled from the principal part of h and a jet of g.
+* ``pm_polynomial`` -- the paper's polynomial family
+  P_1 = 1, P_2 = x, P_m = (x^2 + (m-2)^2 pi^2) P_{m-2}. Its operator
+  (-1)^{mk} [P_m(d/dz + log x) g](k) is c_m times the residue of
+  (pi/sin(pi z))^m g(-z) x^{-z} at z = -k, with c_m = (-1)^{m-1} (m-1)!,
+  so the series engine needs only ``residue_row``; P_m itself is kept for
+  the closed form of the g = 1 cosecant-power series.
 
 Each operator is a polynomial in log x once the jet is fixed: the ``*_row``
 functions return its coefficients, in ascending powers of log x, and
@@ -115,15 +118,6 @@ def shift_row(jet: Jet, m: int) -> tuple:
     return tuple(binomial(m, p) * jet.derivs[m - p] for p in range(m + 1))
 
 
-def _combine(weighted_rows, length: int) -> tuple:
-    """sum of c * row over (c, row) pairs, as one row of ``length``."""
-    acc = [0.0] * length
-    for c, row in weighted_rows:
-        for p, a in enumerate(row):
-            acc[p] += c * a
-    return tuple(acc)
-
-
 def eval_row(row, log_x: float):
     """sum_p row[p] (log x)^p, by Horner's rule (0 for an empty row)."""
     acc = 0.0
@@ -132,46 +126,23 @@ def eval_row(row, log_x: float):
     return acc
 
 
-@dataclass(frozen=True)
-class PmPolynomial:
-    """Polynomial of the family P_1 = 1, P_2 = x, P_m = (x^2 + (m-2)^2 pi^2) P_{m-2}.
-
-    ``coeffs`` are monomial coefficients, ascending degree; degree m - 1,
-    alternating coefficients vanish, leading coefficient 1.
-    """
-
-    m: int
-    coeffs: tuple
-
-    def degree(self) -> int:
-        return self.m - 1
-
-
 @lru_cache(maxsize=None)
-def pm_polynomial(m: int) -> PmPolynomial:
+def pm_polynomial(m: int) -> tuple:
+    """P_1 = 1, P_2 = x, P_m = (x^2 + (m-2)^2 pi^2) P_{m-2}, as monomial
+    coefficients in ascending degree: degree m - 1, alternating coefficients
+    vanish, leading coefficient 1."""
     if m < 1:
         raise ValueError(f"P_m is defined for m >= 1, got {m}")
     if m == 1:
-        return PmPolynomial(1, (1.0,))
+        return (1.0,)
     if m == 2:
-        return PmPolynomial(2, (0.0, 1.0))
-    prev = pm_polynomial(m - 2).coeffs
+        return (0.0, 1.0)
     c = (m - 2) ** 2 * math.pi ** 2
     out = [0.0] * (m)
-    for d, a in enumerate(prev):
+    for d, a in enumerate(pm_polynomial(m - 2)):
         out[d] += c * a        # (m-2)^2 pi^2 * P_{m-2}
         out[d + 2] += a        # x^2 * P_{m-2}
-    return PmPolynomial(m, tuple(out))
-
-
-def pm_row(jet: Jet, m: int) -> tuple:
-    """[P_m(d/dz + log x) g](k) as a row in powers of log x."""
-    poly = pm_polynomial(m)
-    if jet.order < poly.degree():
-        raise JetOrderError(
-            f"P_{m} needs a jet of order >= {poly.degree()}, got {jet.order}")
-    return _combine(((a, shift_row(jet, d)) for d, a in enumerate(poly.coeffs)
-                     if a != 0.0), m)
+    return tuple(out)
 
 
 def residue_row(pp: PrincipalPart, jet: Jet) -> tuple:
@@ -192,16 +163,18 @@ def residue_row(pp: PrincipalPart, jet: Jet) -> tuple:
         raise JetOrderError(
             f"pole of order {pp.order} needs a jet of order >= {pp.order - 1}, "
             f"got {jet.order}")
-    weighted = []
+    acc = [0.0] * pp.order
     sign = 1.0
     fact = 1.0  # (j-1)!
     for j in range(1, pp.order + 1):
         c = pp.coeffs[j - 1]
         if c != 0:
-            weighted.append((c * (sign / fact), shift_row(jet, j - 1)))
+            w = c * (sign / fact)
+            for p, a in enumerate(shift_row(jet, j - 1)):
+                acc[p] += w * a
         sign = -sign
         fact *= j
-    return _combine(weighted, pp.order)
+    return tuple(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -447,7 +447,18 @@ class _Values:
 def _log_space_term(arg, lw: float, fv, x: float):
     # extreme exponents (extended strips): combine in log space
     if isinstance(arg, complex) or isinstance(fv, complex):
-        return cmath.exp(complex(arg) + lw + cmath.log(complex(fv)))
+        total = complex(arg) + lw + cmath.log(complex(fv))
+        if total.real < -745.0:
+            return 0.0
+        if not total.real <= 709.0:
+            raise ConvergenceError(
+                f"integrand contribution overflows at x={x!r}; the transform "
+                f"diverges at this s")
+        if not math.isfinite(total.imag):
+            raise ConvergenceError(
+                f"the phase (Im s) log x of the integrand overflows at x={x!r}; "
+                f"Im s is too large for this transform")
+        return cmath.exp(total)
     total = arg + lw + math.log(abs(fv))
     if total < -745.0:
         return 0.0

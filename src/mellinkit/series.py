@@ -1,19 +1,17 @@
 """Synthesizes the integrand series dictated by the residue data of a kernel
 and evaluates truncated series with tail control.
 
-Modes, one per kind of summand:
+Every series is a residue series: its k-th summand is the residue of
+h(z) g(-z) x^{-z} at z = -k, built from the principal part of h at -k,
+whatever its order (simple poles, pole gaps, higher-order and derivative
+kernels). The cosecant-power instances of the paper are the residue series
+of (pi/sin(pi z))^m; ``harness`` scales them by their constant.
 
-* ``residue``     -- the residue of h(z) g(-z) x^{-z} at z = -k, from the
-                     principal part of h at -k, whatever its order (simple
-                     poles, pole gaps, higher-order and derivative kernels).
-* ``conjecture``  -- summands (-1)^{m n} [P_m(d/dz + log x) g](n) x^n.
-
-In every mode the k-th summand is x^k sum_p A[k, p] (log x)^p. The row
-A[k, .] depends on the kernel, the coefficient function, the mode and m,
-not on x: ``term`` builds it from the principal part and jet at k
-(``jets.residue_row`` or ``jets.pm_row``) on first use and keeps it in the
-handle, so every later evaluation of that summand, at any x, is one
-polynomial in log x times x^k. A handle starts with no rows.
+The k-th summand is x^k sum_p A[k, p] (log x)^p. The row A[k, .] depends on
+the kernel and the coefficient function, not on x: ``term`` builds it from
+the principal part and jet at k (``jets.residue_row``) on first use and
+keeps it in the handle, so every later evaluation of that summand, at any
+x, is one polynomial in log x times x^k. A handle starts with no rows.
 """
 
 from __future__ import annotations
@@ -24,9 +22,7 @@ from typing import Callable, Optional
 
 from .catalog import CoefficientFunction, KernelFunction
 from .errors import ConvergenceError, RadiusExceededError
-from .jets import eval_row, pm_row, residue_row
-
-MODES = ("residue", "conjecture")
+from .jets import eval_row, residue_row
 
 #: default truncation controls (factorial decay dominates all registered
 #: identities well before the cap)
@@ -44,8 +40,6 @@ class SeriesHandle:
 
     kernel: KernelFunction
     coeff: CoefficientFunction
-    mode: str = "residue"
-    m: int = 0  # the conjecture order
     radius_hint: Optional[float] = None
     closed_form: Optional[Callable[[float], float]] = None
     #: > 0: f is the closed form everywhere and oscillates like
@@ -56,22 +50,18 @@ class SeriesHandle:
                        compare=False)
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown series mode {self.mode!r}")
         if self.radius_hint is not None and not self.radius_hint > 0.0:
             raise ValueError(f"radius hint must be positive, got {self.radius_hint}")
-        if self.mode == "conjecture" and self.m < 1:
-            raise ValueError("conjecture mode needs m >= 1")
         if self.half_period > 0.0 and self.closed_form is None:
             raise ValueError("a half period needs a closed form")
 
 
-def handle(kernel: KernelFunction, coeff: CoefficientFunction, mode: str = "residue",
-           m: int = 0, radius_hint: Optional[float] = None,
-           closed_form=None, half_period: float = 0.0) -> SeriesHandle:
+def handle(kernel: KernelFunction, coeff: CoefficientFunction,
+           radius_hint: Optional[float] = None, closed_form=None,
+           half_period: float = 0.0) -> SeriesHandle:
     if radius_hint is None:
         radius_hint = theorem_radius(coeff)
-    return SeriesHandle(kernel, coeff, mode, m, radius_hint, closed_form, half_period)
+    return SeriesHandle(kernel, coeff, radius_hint, closed_form, half_period)
 
 
 def theorem_radius(coeff: CoefficientFunction) -> Optional[float]:
@@ -91,20 +81,12 @@ def term(h: SeriesHandle, k: int, x: float, log_x: Optional[float] = None):
     if x <= 0.0:
         raise ValueError(f"series variable must be positive, got x={x}")
     row = h.rows.get(k)
-    if row is None:
-        row = h.rows[k] = _row(h, k)
+    if row is None:  # A[k, .]: the k-th summand over x^k, in powers of log x
+        pp = h.kernel.principal_part(k)
+        row = h.rows[k] = residue_row(pp, h.coeff.jet(k, max(pp.order - 1, 0)))
     if not row:
         return 0.0
     return eval_row(row, math.log(x) if log_x is None else log_x) * x ** k
-
-
-def _row(h: SeriesHandle, k: int) -> tuple:
-    """A[k, .]: the k-th summand divided by x^k, in powers of log x."""
-    if h.mode == "conjecture":
-        row = pm_row(h.coeff.jet(k, h.m - 1), h.m)
-        return tuple(-a for a in row) if (h.m * k) % 2 else row
-    pp = h.kernel.principal_part(k)
-    return residue_row(pp, h.coeff.jet(k, max(pp.order - 1, 0)))
 
 
 def sum_series(h: SeriesHandle, x: float, tol: float = DEFAULT_TOL,
@@ -143,7 +125,7 @@ def sum_series(h: SeriesHandle, x: float, tol: float = DEFAULT_TOL,
             prev_mag = mag
     raise ConvergenceError(
         f"series did not converge within {k_cap} terms at x={x} "
-        f"(mode={h.mode}, kernel={h.kernel.id}, coeff={h.coeff.id})")
+        f"(kernel={h.kernel.id}, coeff={h.coeff.id})")
 
 
 def eval_series(h: SeriesHandle, x: float, tol: float = DEFAULT_TOL):

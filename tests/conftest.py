@@ -32,7 +32,7 @@ def contour_residue(h_eval, g_eval, k, x, radius=0.3, n=512):
 
 def row_value(row, x, k):
     """x^k sum_p row[p] (log x)^p: the summand at x > 0 that a row of the
-    series (``jets.residue_row``/``pm_row``/``shift_row``) stands for."""
+    series (``jets.residue_row``/``shift_row``) stands for."""
     return eval_row(row, math.log(x)) * x ** k
 
 

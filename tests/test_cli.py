@@ -265,6 +265,21 @@ class TestMellinRuns:
                        "the transform diverges at this s\n")
         assert not recwarn.list
 
+    # one test per input: before, the first ended in an OverflowError
+    # traceback and the second exited 2 with "math domain error"
+    @pytest.mark.parametrize("spec,msg", [
+        ("1e308+1e308i", "integrand contribution overflows at x=2.0; the "
+                         "transform diverges at this s"),
+        ("0.5+1e308i", "the phase (Im s) log x of the integrand overflows at "
+                       "x=0.024316017963626535; Im s is too large for this transform"),
+    ])
+    def test_overflowing_complex_s_prints_only_its_diagnostic(self, capsys, recwarn,
+                                                              spec, msg):
+        rc, out, err = _run(capsys, "mellin", "--kernel", "gamma", "--s", spec)
+        assert rc == cli.EXIT_NUMERIC and out == ""
+        assert err == f"numeric failure: {msg}\n"
+        assert not recwarn.list
+
     def test_conjecture_runs_past_order_four(self, capsys):
         rc, out, err = _run(capsys, "conjecture", "--m", "5", "--g", "const_one",
                             "--s", "0.3", "--tol", "1e-8")
@@ -283,6 +298,28 @@ class TestMellinRuns:
                                             * mpmath.gamma(1 - t)))
             got = complex(doc["lhs_re"], doc["lhs_im"])
             assert abs(got - want) <= 1e-12 * abs(want), s
+
+
+class TestInterpRuns:
+    def test_json_input_is_read_from_its_path(self, capsys, tmp_path):
+        # c_k = a^k, raw: the sum is 1/(1 + a x), so g(-s) = a^(-s); the
+        # JSON file gives the bytes of the same sequence read from CSV
+        a, values = 1.5, [1.5 ** k for k in range(40)]
+        (tmp_path / "seq.json").write_text(json.dumps(
+            {"values": values, "normalization": "raw",
+             "closed_form": f"inv_one_plus_ax:{a!r}"}))
+        (tmp_path / "seq.csv").write_text(
+            "k,c_k\n" + "".join(f"{k},{v!r}\n" for k, v in enumerate(values)))
+        rc, out, err = _run(capsys, "interp", "--input", str(tmp_path / "seq.json"),
+                            "--kernel", "pi_csc", "--s", "0.4")
+        assert rc == cli.EXIT_PASS and err == ""
+        (doc,) = _samples(out)
+        assert abs(doc["lhs_re"] - a ** -0.4) <= 1e-10 * a ** -0.4
+        rc, from_csv, _ = _run(capsys, "interp", "--input", str(tmp_path / "seq.csv"),
+                               "--normalization", "raw", "--closed-form",
+                               f"inv_one_plus_ax:{a!r}", "--kernel", "pi_csc",
+                               "--s", "0.4")
+        assert rc == cli.EXIT_PASS and from_csv == out
 
 
 def test_default_verify_all_json_is_byte_stable(capsys):

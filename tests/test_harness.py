@@ -378,13 +378,19 @@ class TestIntegralRepresentation:
         assert q.value.real == pytest.approx(want, rel=1e-9)
 
     def test_matches_kernel_eval(self):
-        for kid in ("gamma", "pi_csc", "gamma_squared", "gamma_deriv:1",
-                    "pi_csc_pow:2"):
-            kern_eval = __import__("mellinkit.catalog", fromlist=["kernel"]) \
-                .kernel(kid).eval
+        for kid in ("gamma", "pi_csc", "gamma_squared", "gamma_deriv:1"):
+            kern_eval = catalog.kernel(kid).eval
             for s in (0.3, 0.6):
                 q = harness.integral_representation(kid, s, tol=1e-9)
                 assert abs(q.value - kern_eval(s)) <= 1e-7 * abs(kern_eval(s)), (kid, s)
+        # the cosecant powers transform to h(s) itself, without the
+        # conjecture's (-1)^{m-1} (m-1)!
+        for m in (2, 3, 4, 5):
+            kern_eval = catalog.kernel(f"pi_csc_pow:{m}").eval
+            for s in (0.3, 0.6, 0.4 + 0.2j):
+                q = harness.integral_representation(f"pi_csc_pow:{m}", s, tol=1e-9)
+                want = kern_eval(s)
+                assert abs(q.value - want) <= 1e-12 * abs(want), (m, s)
 
     def test_oscillatory_route(self):
         q = harness.integral_representation("gamma_cos_half", 0.5, tol=1e-7)
@@ -405,8 +411,6 @@ G1_IDENTITIES = [
     ("gamma_deriv_rep:1", "gamma_deriv:1"),
     ("gamma_deriv_rep:2", "gamma_deriv:2"),
     ("digamma_corollary", "psi"),
-    ("conjecture:m=2:const_one", "pi_csc_pow:2"),
-    ("conjecture:m=3:const_one", "pi_csc_pow:3"),
     ("cos_mellin:1", "gamma_cos_half"),
 ]
 
@@ -424,6 +428,18 @@ class TestSingleSource:
         assert smp.error is None
         assert (smp.lhs, smp.err_abs, smp.n_evals) == (
             complex(q.value), q.err_abs, q.n_evals)
+
+    @pytest.mark.parametrize("m,c_m", [(2, -1), (3, 2)])
+    def test_conjecture_lhs_is_c_m_times_the_kernel_representation(self, m, c_m):
+        # the conjecture case runs h's own series scaled by c_m, rows and
+        # closed form alike; scaling by -1 or 2 is exact
+        cid = f"conjecture:m={m}:const_one"
+        s, tol = 0.41 + 0.05j, harness.get_case(cid).default_tol
+        (smp,) = harness.verify(cid, s_grid=[s], tol=tol).samples
+        q = harness.integral_representation(f"pi_csc_pow:{m}", s, tol=tol)
+        assert smp.error is None
+        assert (smp.lhs, smp.err_abs, smp.n_evals) == (
+            c_m * complex(q.value), abs(c_m) * q.err_abs, q.n_evals)
 
     @pytest.mark.parametrize("kid", [
         "gamma", "pi_csc", "gamma_squared", "gamma_cos_half",
@@ -449,10 +465,11 @@ class TestSingleSource:
         ("gamma_cos_half", "power_a:2", lambda x: math.cos(2.0 * x)),
         ("pi_csc", "power_a:0.5", lambda x: 1.0 / (1.0 + 0.5 * x)),
         # the cosecant-power forms m = 2 and 3 as they were written out
+        # for the conjecture, divided by its c_m = -1 and 2
         ("pi_csc_pow:2", "const_one",
-         lambda x: -1.0 if x == 1.0 else math.log1p(x - 1.0) / (1.0 - x)),
+         lambda x: (-1.0 if x == 1.0 else math.log1p(x - 1.0) / (1.0 - x)) / -1),
         ("pi_csc_pow:3", "const_one",
-         lambda x: (math.log(x) ** 2 + PI * PI) / (1.0 + x)),
+         lambda x: (math.log(x) ** 2 + PI * PI) / (1.0 + x) / 2),
     ])
     def test_derived_closed_forms_are_bit_identical(self, kid, gid, want):
         closed = harness.representation_handle(kid, gid).closed_form

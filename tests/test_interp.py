@@ -45,10 +45,12 @@ class TestSequenceData:
         with pytest.raises(ValueError):
             interp.sequence_from_csv(p, "raw")
 
-    def test_json_document(self):
+    def test_json_document(self, tmp_path):
         doc = {"values": [1.0] * 8, "normalization": "raw",
                "closed_form": "inv_one_plus_x"}
-        seq = interp.sequence_from_json(json.dumps(doc))
+        p = tmp_path / "seq.json"
+        p.write_text(json.dumps(doc))
+        seq = interp.sequence_from_json(p)
         assert seq.normalization == "raw"
         assert seq.closed_form(1.0) == 0.5
 

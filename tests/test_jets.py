@@ -1,7 +1,9 @@
 """Tests for jet arithmetic, the P_m polynomials and the residue engine:
-the rows of the shift, P_m and residue operators, evaluated in log x."""
+the rows of the shift and residue operators, evaluated in log x."""
 
+import functools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from mellinkit import catalog
 from mellinkit.errors import JetBaseMismatchError, JetOrderError
 from mellinkit.jets import (Jet, PrincipalPart, binomial, eval_row, pm_polynomial,
-                            pm_row, residue_row, series_exp, series_product,
+                            residue_row, series_exp, series_product,
                             series_reciprocal, shift_row)
 
 from conftest import contour_residue, row_value
@@ -85,36 +87,108 @@ class TestShiftOperator:
 
 class TestPmPolynomials:
     def test_base_cases(self):
-        assert pm_polynomial(1).coeffs == (1.0,)
-        assert pm_polynomial(2).coeffs == (0.0, 1.0)
+        assert pm_polynomial(1) == (1.0,)
+        assert pm_polynomial(2) == (0.0, 1.0)
 
     def test_recursion_steps(self):
         # P3 = x^2 + pi^2, P4 = x^3 + 4 pi^2 x
-        assert pm_polynomial(3).coeffs == (PI2, 0.0, 1.0)
-        assert pm_polynomial(4).coeffs == (0.0, 4.0 * PI2, 0.0, 1.0)
+        assert pm_polynomial(3) == (PI2, 0.0, 1.0)
+        assert pm_polynomial(4) == (0.0, 4.0 * PI2, 0.0, 1.0)
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_parity_and_leading_coefficient(self, m):
-        coeffs = pm_polynomial(m).coeffs
+        coeffs = pm_polynomial(m)
         assert len(coeffs) == m  # degree m-1
         assert coeffs[-1] == 1.0
         for d, a in enumerate(coeffs):
             if (m - 1 - d) % 2 == 1:  # parity of P_m matches m-1
                 assert a == 0.0
 
-    def test_pm_operator_cases(self):
-        g1 = catalog.coefficient("const_one")
-        lx = math.log(2.5)
-        j = g1.jet(4, 3)
-        assert eval_row(pm_row(j, 1), lx) == 1.0
-        assert eval_row(pm_row(j, 2), lx) == pytest.approx(lx, rel=1e-15)
-        # constant jet: P3 gives pi^2 + log^2 x
-        assert eval_row(pm_row(j, 3), lx) == pytest.approx(PI2 + lx * lx, rel=1e-15)
+    @pytest.mark.parametrize("m", range(1, 25))
+    def test_pm_is_c_m_times_the_residue_formula_exactly(self, m):
+        # P_m(y) = c_m sum_j c_{-j} (-1)^{j-1} y^{j-1} / (j-1)!, with
+        # c_m = (-1)^{m-1} (m-1)! and c_{-j} the Laurent coefficients of
+        # (pi/sin(pi u))^m at u = 0: the paper's summand is c_m times the
+        # residue. Both sides are rational polynomials in pi^2.
+        c_m = (-1) ** (m - 1) * math.factorial(m - 1)
+        laurent = _exact_csc_power_laurent(m)  # laurent[j - 1] = c_{-j}
+        residue_form = [_scale(Fraction((-1) ** d * c_m, math.factorial(d)),
+                               laurent[d]) for d in range(m)]
+        assert _trim_all(_exact_pm(m)) == _trim_all(residue_form)
 
-    def test_pm_operator_order_check(self):
-        j = Jet(0, 1, (1.0, 0.0))
-        with pytest.raises(JetOrderError):
-            pm_row(j, 3)
+    @pytest.mark.parametrize("m", [3, 8, 15, 24])
+    def test_float_coefficients_round_the_exact_ones(self, m):
+        pi2 = math.pi ** 2
+        for got, want in zip(pm_polynomial(m), _exact_pm(m)):
+            value = sum(float(a) * pi2 ** i for i, a in enumerate(want))
+            assert got == pytest.approx(value, rel=1e-14, abs=0.0)
+
+
+# exact polynomials in pi^2: a list of Fractions, entry i the coefficient of
+# pi^(2i)
+
+def _add(a, b):
+    n = max(len(a), len(b))
+    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+            for i in range(n)]
+
+
+def _mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] += ai * bj
+    return out
+
+
+def _scale(c, a):
+    return [c * v for v in a]
+
+
+def _trim_all(polys):
+    def trim(a):
+        a = list(a)
+        while a and a[-1] == 0:
+            a.pop()
+        return a
+    return [trim(a) for a in polys]
+
+
+def _exact_pm(m):
+    """P_m from P_1 = 1, P_2 = y, P_m = (y^2 + (m-2)^2 pi^2) P_{m-2}: entry
+    d is the coefficient of y^d."""
+    if m == 1:
+        return [[Fraction(1)]]
+    if m == 2:
+        return [[Fraction(0)], [Fraction(1)]]
+    out = [[Fraction(0)] for _ in range(m)]
+    for d, a in enumerate(_exact_pm(m - 2)):
+        out[d] = _add(out[d], _mul([Fraction(0), Fraction((m - 2) ** 2)], a))
+        out[d + 2] = _add(out[d + 2], a)
+    return out
+
+
+def _exact_csc_power_laurent(m):
+    """c_{-1}, ..., c_{-m} of (pi/sin(pi u))^m = u^{-m} S(u)^m at u = 0,
+    where 1/S(u) = sin(pi u)/(pi u) = sum_i (-1)^i pi^(2i) u^(2i) / (2i+1)!."""
+    order = m - 1
+    sinc = [[Fraction(0)] for _ in range(order + 1)]
+    for i in range(0, order // 2 + 1):
+        sinc[2 * i] = [Fraction(0)] * i + [Fraction((-1) ** i, math.factorial(2 * i + 1))]
+    s = [[Fraction(1)]] + [[Fraction(0)] for _ in range(order)]
+    for n in range(1, order + 1):  # S = 1/sinc, sinc[0] = 1
+        acc = [Fraction(0)]
+        for j in range(1, n + 1):
+            acc = _add(acc, _mul(sinc[j], s[n - j]))
+        s[n] = _scale(Fraction(-1), acc)
+    power = [[Fraction(1)]] + [[Fraction(0)] for _ in range(order)]
+    for _ in range(m):  # S^m, truncated at u^(m-1)
+        power = [functools.reduce(_add, (_mul(power[i], s[n - i]) for i in range(n + 1)))
+                 for n in range(order + 1)]
+    # c_{-j} = [u^(m-j)] S^m
+    return [power[m - j] for j in range(1, m + 1)]
 
 
 class TestPrincipalPart:

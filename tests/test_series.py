@@ -27,40 +27,23 @@ class TestTerm:
         got = series.term(h, 0, math.e)
         assert got == pytest.approx(-(2.0 * EULER + 1.0), rel=1e-14)
 
-    def test_conjecture_series_matches_incomplete_gamma(self):
-        # m=2, g = 1/Gamma(z+1): the summed series is -e^x Gamma(0, x)
+    def test_csc_square_series_matches_incomplete_gamma(self):
+        # (pi/sin(pi z))^2, g = 1/Gamma(z+1): the summed series is e^x Gamma(0, x)
         h = series.handle(catalog.kernel("pi_csc_pow:2"),
-                          catalog.coefficient("inv_gamma"),
-                          mode="conjecture", m=2, radius_hint=1.0)
+                          catalog.coefficient("inv_gamma"), radius_hint=1.0)
         for x in (0.2, 0.5, 0.7):
             got = series.sum_series(h, x, tol=1e-13)
-            assert got == pytest.approx(-specfun.expx_gamma0(x), rel=1e-11), x
+            assert got == pytest.approx(specfun.expx_gamma0(x), rel=1e-11), x
 
     def test_pole_gap_terms_vanish(self):
         h = simple_handle("gamma_cos_half", "const_one")
         assert series.term(h, 1, 0.7) == 0.0
         assert series.term(h, 3, 0.7) == 0.0
 
-    @pytest.mark.parametrize("m", [2, 3, 4])
-    def test_conjecture_terms_match_general_residues(self, m):
-        # the P_m operator summand coincides with the residue of the
-        # cosecant-power kernel computed from its Laurent principal part
-        g = catalog.coefficient("inv_linear")
-        kern = catalog.kernel(f"pi_csc_pow:{m}")
-        conj = series.handle(kern, g, mode="conjecture", m=m, radius_hint=1.0)
-        gen = series.handle(kern, g, radius_hint=1.0)
-        sign = 1.0 if (m - 1) % 2 == 0 else -1.0
-        fac = math.factorial(m - 1)
-        for k in range(7):
-            for x in (0.3, 1.0, 2.2):
-                lhs = series.term(gen, k, x)
-                rhs = series.term(conj, k, x) * sign / fac
-                assert lhs == pytest.approx(rhs, rel=1e-12), (m, k, x)
-
 
 def _direct_term(h, k, x):
-    """(k-th summand by the residue formula of its mode, the sum of the
-    magnitudes of its parts), written out with plain Python. A derivative
+    """(k-th summand by the residue formula, the sum of the magnitudes of
+    its parts), written out with plain Python. A derivative
     kernel's summand is built from its base kernel's residue, not from the
     kernel's own principal part."""
     lx = math.log(x)
@@ -71,14 +54,7 @@ def _direct_term(h, k, x):
         return [math.comb(m, i) * derivs[i] * lx ** (m - i) for i in range(m + 1)]
 
     parts = []
-    if h.mode == "conjecture":
-        derivs = h.coeff.jet(k, h.m - 1).derivs
-        poly = {1: [1.0], 2: [0.0, 1.0], 3: [math.pi ** 2, 0.0, 1.0],
-                4: [0.0, 4.0 * math.pi ** 2, 0.0, 1.0]}[h.m]
-        sign = -1.0 if (h.m * k) % 2 else 1.0
-        for d, a in enumerate(poly):
-            parts += [sign * a * p for p in shift(derivs, d)]
-    elif name.endswith("_deriv"):
+    if name.endswith("_deriv"):
         # Res_{-k}(base) [(d/dz + log x)^m g](k)
         m = int(param)
         residue = catalog.kernel(name[:-len("_deriv")]).principal_part(k).residue
@@ -94,31 +70,28 @@ def _direct_term(h, k, x):
 
 
 #: (kernel, coefficient, what the case exercises, m): simple poles, pole
-#: gaps, higher-order poles, the m-th derivative kernel of a simple-pole
-#: base, and the conjecture operator, with non-constant jets. All but the
-#: conjecture cases run in residue mode.
+#: gaps, higher-order poles (the cosecant powers among them) and the m-th
+#: derivative kernel of a simple-pole base, with non-constant jets
 ROW_HANDLES = [
     ("gamma", "const_one", "simple", 0),
     ("pi_csc", "power_a:2", "simple", 0),
     ("gamma_cos_half", "inv_linear", "simple", 0),
     ("gamma_squared", "const_one", "general", 0),
     ("gamma_squared", "sin_gamma", "general", 0),
+    ("pi_csc_pow:2", "inv_gamma", "general", 0),
     ("pi_csc_pow:3", "inv_gamma", "general", 0),
+    ("pi_csc_pow:3", "inv_linear", "general", 0),
+    ("pi_csc_pow:4", "const_one", "general", 0),
     ("gamma", "const_one", "derivative", 2),
     ("pi_csc", "inv_linear", "derivative", 1),
-    ("pi_csc_pow:2", "inv_gamma", "conjecture", 2),
-    ("pi_csc_pow:3", "inv_linear", "conjecture", 3),
-    ("pi_csc_pow:4", "const_one", "conjecture", 4),
 ]
 
 
 def _row_handle(kid, gid, kind, m):
     if kind == "derivative":
         kid = f"{kid}_deriv:{m}"
-    conjecture = kind == "conjecture"
     return series.handle(catalog.kernel(kid), catalog.coefficient(gid),
-                         mode="conjecture" if conjecture else "residue",
-                         m=m if conjecture else 0, radius_hint=1.0)
+                         radius_hint=1.0)
 
 
 class TestRows:
@@ -149,7 +122,7 @@ class TestRows:
         for _ in range(3):
             for m in (2, 3, 2, 4):
                 h = series.handle(catalog.kernel(f"pi_csc_pow:{m}"), g,
-                                  mode="conjecture", m=m, radius_hint=1.0)
+                                  radius_hint=1.0)
                 want, scale = _direct_term(h, 5, 0.6)
                 assert abs(series.term(h, 5, 0.6) - want) <= 1e-13 * scale
                 del h
@@ -182,16 +155,6 @@ class TestEvalSeries:
             if x < 0.75 * h.radius_hint:
                 got = series.eval_series(h, x, tol=1e-12)
                 assert got == pytest.approx(math.exp(-a * x), rel=1e-11), (a, x)
-
-    def test_conjecture_m1_reproduces_classical_summand_exactly(self):
-        g = catalog.coefficient("inv_gamma")
-        conj = series.handle(catalog.kernel("pi_csc_pow:1"), g,
-                             mode="conjecture", m=1, radius_hint=1.0)
-        classical = series.handle(catalog.kernel("pi_csc"), g, radius_hint=1.0)
-        for k in range(51):
-            for x in (0.4, 0.9):
-                want = classical and series.term(classical, k, x)
-                assert series.term(conj, k, x) == want
 
     def test_tail_bound_on_geometric_and_exponential(self):
         # the reported stopping rule must bound the true remainder
@@ -237,18 +200,11 @@ class TestSeamCheck:
 
 
 class TestHandleValidation:
-    def test_mode_validation(self):
-        assert series.MODES == ("residue", "conjecture")
-        for mode in ("weird", "simple", "general", "derivative"):
+    def test_radius_hint_must_be_positive(self):
+        kern, g = catalog.kernel("gamma"), catalog.coefficient("const_one")
+        for radius in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError):
-                series.SeriesHandle(catalog.kernel("gamma"),
-                                    catalog.coefficient("const_one"), mode=mode)
-
-    def test_conjecture_needs_positive_m(self):
-        with pytest.raises(ValueError):
-            series.SeriesHandle(catalog.kernel("pi_csc_pow:2"),
-                                catalog.coefficient("const_one"),
-                                mode="conjecture", m=0)
+                series.handle(kern, g, radius_hint=radius)
 
     def test_half_period_needs_a_closed_form(self):
         kern, g = catalog.kernel("gamma_cos_half"), catalog.coefficient("const_one")
