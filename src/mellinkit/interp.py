@@ -32,8 +32,7 @@ import numpy as np
 from . import catalog, harness, series
 from .errors import (KernelZeroError, StripViolationError,
                      TailCertificationError, UnknownIdError)
-from .mellin import (MAX_EVALS, _EvalBudget, _outcome, _scaled_lower_transform,
-                     _series_run, mellin_transform)
+from .mellin import _outcome, _scaled_lower_transform, _series_run, mellin_transform
 
 NORMALIZATIONS = ("raw", "factorial")
 
@@ -232,7 +231,7 @@ def interpolate(seq: SequenceData, kernel_id: str, s, tol: float = 1e-8):
     if x_cut is None:
         val = mellin_transform(f, s, tol=tol).value
     else:
-        val, _ = _scaled_lower_transform(f, s, x_cut, _EvalBudget(MAX_EVALS), tol)
+        val, _ = _scaled_lower_transform(f, s, x_cut, tol)
     return val / h_val
 
 
@@ -373,7 +372,7 @@ def _logconvexity_margins(h_eval, pairs):
 
 def _check_property(kernel_id: str, check: str, margins, tol: float) -> PropertyReport:
     """The pipeline of both inequality checks. A failed weight precondition
-    gives a skipped report, named without the check's parameter. Otherwise
+    gives a skipped report, named as a run report is. Otherwise
     ``margins(h_eval)`` runs twice: on ``_strip_unit``, which checks and
     lists every point before any quadrature, and on the represented h,
     computed at all those points in one run; the first error in request
@@ -382,7 +381,7 @@ def _check_property(kernel_id: str, check: str, margins, tol: float) -> Property
     fail."""
     wr = check_weight_nonneg(kernel_id)
     if not wr.nonnegative:
-        return PropertyReport(kernel_id, check.partition(":")[0], (), math.nan,
+        return PropertyReport(kernel_id, check, (), math.nan,
                               (), False, skipped_reason=(
                                   f"weight nonnegativity precondition failed: "
                                   f"min {wr.min_weight:.3e} at x={wr.argmin:g}"))

@@ -37,17 +37,21 @@ level by level in one pass over those still active; a row leaves the pass
 when it accepts a level or fails. Per level, Re((s-1) log x) + log w is one
 matrix over the active rows, one for real s and one for complex s (a real s
 keeps its real ``exp``). A row skips the nodes where it is below -800
-without calling f, and spends its evaluation budget once per level on the
-nodes it keeps. f is evaluated once per distinct abscissa of the level
-that any row keeps (see Shared integrand). A non-finite value of f, or a
-ValueError/OverflowError/ZeroDivisionError from f other than the library's
-own errors (``MellinkitError``, which pass as raised), is dropped where the
-row's weight is below ``_SKIP_FLOOR`` (its neighbours' terms then judge it,
-see the stopping rule) and raises SingularIntegrandError for that row above
-it. The terms w exp((s-1) log x) f(x) are formed as one matrix; where
-|Re((s-1) log x)| >= 700 or a term is not finite, it is formed in log space
-instead (a contribution that overflows raises ConvergenceError: the
-transform diverges at this s). Each row adds its kept terms at t and -t
+without using f there, and spends its evaluation budget once per level
+on the nodes it keeps. The first time a run reaches a level's table, f is
+evaluated once at each of its distinct abscissae, in table order (see
+Shared integrand). Where f raises, its value is nan. A ValueError,
+OverflowError or ZeroDivisionError that is not one of the library's own
+errors (``MellinkitError``) is a value f cannot give there; any other
+exception is kept with its node. Each row screens its kept non-finite
+values in table order: the first node where f raised hands the row that
+exception, the first whose weight is above ``_SKIP_FLOOR`` raises
+SingularIntegrandError for the row, and the others are dropped (their
+neighbours' terms then judge them, see the stopping rule). The terms
+w exp((s-1) log x) f(x) are formed as one matrix; where |Re((s-1) log x)|
+>= 700 or a term is not finite, it is formed in log space instead (a
+contribution that overflows raises ConvergenceError: the transform
+diverges at this s). Each row adds its kept terms at t and -t
 first and then the pair sums one after another, the order of a scalar
 trapezoid loop (one offset ``bincount`` for all rows); the oscillatory rule
 adds its terms in order of increasing x. Every row keeps its own sums,
@@ -91,16 +95,18 @@ over many s on one series handle, and ``mellin_transforms`` (of which
 rides on the handle (f is then the closed form, under
 ``mellin_oscillatory``, one call per s). A run checks the seam once, gives
 every s its own evaluation budget, and keeps f's values in ``_Values``,
-per node table, so f is called once per distinct abscissa of each table
-that the run uses, for all of its s. Tables do not share values: the DE
-nodes crowd double exponentially toward the ends of each piece, so many
-nodes of every table of both pieces round to x = 1.0, which is evaluated
-once per table (sharing it across tables saved about 2% of the benchmark's
-calls). An exception f raises at a node is kept with the table; each row
-that uses the node gets it, the first the exception itself and the others
-a fresh one of the same class and arguments. The values belong to the run
-and die with it. A value for one s does not depend on which other s share
-its run: f is a deterministic function of x.
+per node table: f is called once at every distinct abscissa of each table
+that the run reaches, for all of its s, also at nodes that no row keeps.
+Tables do not share values: the DE nodes crowd double exponentially
+toward the ends of each piece, so many nodes of every table of both
+pieces round to x = 1.0, which is evaluated once per table (sharing it
+across tables saved about 2% of the benchmark's calls). An exception f
+raises at a node is kept with the table; each row that keeps the node
+gets it, the first the exception itself and the others a fresh one of
+the same class and arguments, and a row that does not keep it never sees
+it. The values belong to the run and die with it. A value for one s does
+not depend on which other s share its run: f is a deterministic function
+of x. ``n_evals`` counts the nodes a row keeps, not the calls of f.
 """
 
 from __future__ import annotations
@@ -316,22 +322,15 @@ _UPPER = functools.partial(_node_table, _upper_node)
 
 
 class _TableValues:
-    """f at the nodes of one table for one run: ``fv`` per node (0 where not
-    evaluated), ``done`` the nodes evaluated (None: all of them), ``cplx``
-    where f returned a complex (None: nowhere), and ``raised``: the
-    exceptions f raised, by place among the table's distinct abscissae,
-    each with whether a row has had it yet."""
+    """f at the nodes of one table for one run: ``fv`` per node (nan where f
+    raised), ``cplx`` where f returned a complex (None: nowhere), and
+    ``raised``: the exceptions f raised other than as nan, by place among
+    the table's distinct abscissae, each with whether a row has had it yet."""
 
-    __slots__ = ("fv", "done", "cplx", "raised")
+    __slots__ = ("fv", "cplx", "raised")
 
-    def __init__(self, fv, done=None, cplx=None):
-        self.fv, self.done, self.cplx = fv, done, cplx
-        self.raised: dict = {}  # place -> [exception, handed out yet]
-
-    def raised_at(self, lv: _NodeLevel) -> np.ndarray:
-        """Which nodes of ``lv`` hold an exception."""
-        places = np.arange(lv.x.size) if lv.uniq_inv is None else lv.uniq_inv
-        return np.isin(places, list(self.raised))
+    def __init__(self, fv, cplx, raised: dict):
+        self.fv, self.cplx, self.raised = fv, cplx, raised
 
     def take(self, lv: _NodeLevel, node: int) -> Exception:
         """The exception f raised at node ``node`` of ``lv``, for one row:
@@ -344,103 +343,47 @@ class _TableValues:
         return held[0]
 
 
-def _evaluate(f, pts: list) -> tuple:
-    """f at ``pts`` in order, stopping at the first where f raised other
-    than as nan: (the values before it, its exception or None). A
-    ValueError, OverflowError or ZeroDivisionError from f is kept as nan,
-    as a non-finite value is, unless it is a ``MellinkitError``: the
-    library's own errors, such as a series asked for a value past its
-    radius, pass as raised."""
-    vals = []
-    append = vals.append
-    while True:
-        try:
-            for x in pts[len(vals):]:
-                append(f(x))
-            return vals, None
-        except MellinkitError as exc:
-            return vals, exc
-        except (ValueError, OverflowError, ZeroDivisionError):
-            append(math.nan)
-        except Exception as exc:  # handed to every row that uses the node
-            return vals, exc
+#: what f may raise for a value it cannot give, kept as nan
+_NAN_ERRORS = (ValueError, OverflowError, ZeroDivisionError)
 
 
 class _Values:
     """f at the nodes of one run, per node table (``_TableValues``): f is
-    called once per distinct abscissa of each table the run uses, across
-    its rows and levels. Tables do not share values, so an abscissa that
-    several tables have, such as x = 1.0, is evaluated once per table."""
+    called once at each distinct abscissa of each table the run reaches,
+    across its rows and levels. Tables do not share values, so an abscissa
+    that several tables have, such as x = 1.0, is evaluated once per table."""
 
     __slots__ = ("tables",)
 
     def __init__(self):
         self.tables: dict = {}
 
-    def fill(self, f, lv: _NodeLevel, keep) -> _TableValues:
-        """f at the nodes of ``lv`` that the rows need. ``keep`` masks the
-        nodes each row keeps (None: every row keeps every node); a row needs
-        them up to the first whose f raised. f is called, in table order,
-        once per abscissa needed and not evaluated yet."""
+    def fill(self, f, lv: _NodeLevel) -> _TableValues:
+        """f at every node of ``lv``, called once at each distinct abscissa,
+        in table order, the first time the run reaches ``lv``. Where f
+        raises the value is nan, and the exception is kept by place unless
+        it is one of ``_NAN_ERRORS`` and not a ``MellinkitError`` (the
+        library's own errors, such as a series asked for a value past its
+        radius)."""
         ent = self.tables.get(lv)
-        if ent is None and keep is None:
-            vals, exc = _evaluate(f, lv.uniq_xs)
-            if exc is None:
-                fv = np.array(vals)
-                cplx = None
-                if fv.dtype.kind == "c":
-                    cplx = np.array([np.iscomplexobj(v) for v in vals])
-                if lv.uniq_inv is not None:
-                    fv, cplx = fv[lv.uniq_inv], None if cplx is None else cplx[lv.uniq_inv]
-                ent = self.tables[lv] = _TableValues(fv, None, cplx)
-                return ent
-            ent = self._store(lv, range(len(lv.uniq_xs)), vals)
-            ent.raised[len(vals)] = [exc, False]
-        while ent is None or ent.done is not None:
-            need = np.ones((1, lv.x.size), dtype=bool) if keep is None else keep
-            if ent is not None and ent.raised:
-                need = need & (np.cumsum(need & ent.raised_at(lv), axis=1) == 0)
-            need = need.any(axis=0)
-            if ent is not None:
-                need &= ~ent.done
-            inv = lv.uniq_inv
-            places = np.unique(need.nonzero()[0] if inv is None else inv[need]).tolist()
-            if not places:
-                return ent if ent is not None else self._store(lv, [], [])
-            vals, exc = _evaluate(f, [lv.uniq_xs[k] for k in places])
-            ent = self._store(lv, places, vals)
-            if exc is None:
-                break
-            ent.raised[places[len(vals)]] = [exc, False]
-        return ent
-
-    def _store(self, lv: _NodeLevel, places, vals: list) -> _TableValues:
-        """Enter f at the first ``len(vals)`` of ``places`` (places among the
-        distinct abscissae of ``lv``) into the run's values of ``lv``."""
-        ent = self.tables.get(lv)
-        n = lv.x.size
-        if ent is None:
-            ent = self.tables[lv] = _TableValues(np.zeros(n), np.zeros(n, dtype=bool))
-        got = np.zeros(len(lv.uniq_xs), dtype=bool)
-        got[list(places[:len(vals)])] = True
-        fv = np.zeros(got.size)
-        if vals:
-            new = np.array(vals)
-            if new.dtype.kind == "c":
-                fv = fv.astype(complex)
-                if ent.cplx is None:
-                    ent.fv, ent.cplx = ent.fv.astype(complex), np.zeros(n, dtype=bool)
-                flags = np.zeros(got.size, dtype=bool)
-                flags[got] = [np.iscomplexobj(v) for v in vals]
-            fv[got] = new
-        inv = np.arange(n) if lv.uniq_inv is None else lv.uniq_inv
-        nodes = got[inv]
-        ent.fv[nodes] = fv[inv][nodes]
-        if vals and new.dtype.kind == "c":
-            ent.cplx[nodes] = flags[inv][nodes]
-        ent.done |= nodes
-        if ent.done.all():
-            ent.done = None
+        if ent is not None:
+            return ent
+        xs, vals, raised = lv.uniq_xs, [], {}
+        append = vals.append
+        while len(vals) < len(xs):
+            try:
+                for x in xs[len(vals):]:
+                    append(f(x))
+            except Exception as exc:
+                if isinstance(exc, MellinkitError) or not isinstance(exc, _NAN_ERRORS):
+                    raised[len(vals)] = [exc, False]
+                append(math.nan)
+        fv = np.array(vals)
+        cplx = np.array([np.iscomplexobj(v) for v in vals]) if fv.dtype.kind == "c" \
+            else None
+        if lv.uniq_inv is not None:
+            fv, cplx = fv[lv.uniq_inv], None if cplx is None else cplx[lv.uniq_inv]
+        ent = self.tables[lv] = _TableValues(fv, cplx, raised)
         return ent
 
 
@@ -469,15 +412,16 @@ def _log_space_term(arg, lw: float, fv, x: float):
     return math.copysign(math.exp(total), fv)
 
 
-def _screened(lv: _NodeLevel, nodes: np.ndarray, bad: np.ndarray, log_pref: np.ndarray):
-    """SingularIntegrandError at the first of ``nodes`` (one row's, in
-    table order) whose f is not finite and whose weight is not negligible,
-    or None: the others are dropped, to be judged again once the level's
-    terms are formed (``_Piece._check_dropped``). ``bad`` is the mask of
-    non-finite values, None if there are none."""
-    if bad is None:
-        return None
-    for i in nodes[bad[nodes]].tolist():
+def _screened(lv: _NodeLevel, ent: _TableValues, nodes: np.ndarray, log_pref: np.ndarray):
+    """The error of the first of ``nodes`` (one row's kept nodes where f is
+    not finite, in table order) at which f raised, handed to the row by
+    ``_TableValues.take``, or whose weight is not negligible
+    (SingularIntegrandError); None if there is none. The others are
+    dropped, to be judged again once the level's terms are formed
+    (``_Piece._check_dropped``)."""
+    for i in nodes.tolist():
+        if ent.raised and (i if lv.uniq_inv is None else int(lv.uniq_inv[i])) in ent.raised:
+            return ent.take(lv, i)
         if log_pref[i] > _LOG_SKIP_FLOOR:
             return SingularIntegrandError(
                 f"integrand failed at x={lv.xs[i]!r} where the quadrature "
@@ -591,35 +535,26 @@ class _Piece:
                 return
             rows = [rows[i] for i in live]
             arg, re_arg, log_pref, keep = arg[live], re_arg[live], log_pref[live], keep[live]
-        ent = self.values.fill(self.f, lv, None if full else keep)
+        ent = self.values.fill(self.f, lv)
         fv = ent.fv
         finite = np.isfinite(fv)
-        bad = None if np.count_nonzero(finite) == finite.size else ~finite
         dropped = {}
-        if bad is not None or ent.raised:
-            hit = keep & ent.raised_at(lv) if ent.raised else None
+        if np.count_nonzero(finite) < finite.size:
+            bad = ~finite
             live = []
             for i, r in enumerate(rows):
-                if hit is not None and hit[i].any():
-                    # f raised at a kept node: screen the nodes before it
-                    j = int(hit[i].argmax())
-                    run.fail(r, _screened(lv, keep[i, :j].nonzero()[0], bad, log_pref[i])
-                             or ent.take(lv, j))
-                    continue
-                if bad is not None:
-                    nodes = (keep[i] & bad).nonzero()[0]
-                    if nodes.size:
-                        exc = _screened(lv, nodes, bad, log_pref[i])
-                        if exc is not None:
-                            run.fail(r, exc)
-                            continue
-                        dropped[r] = nodes
+                nodes = (keep[i] & bad).nonzero()[0]
+                if nodes.size:
+                    exc = _screened(lv, ent, nodes, log_pref[i])
+                    if exc is not None:
+                        run.fail(r, exc)
+                        continue
+                    dropped[r] = nodes
                 live.append(i)
             if not live:
                 return
-            if bad is not None:
-                fv = fv.copy()
-                fv[bad] = 0.0  # its own weight is negligible
+            fv = fv.copy()
+            fv[bad] = 0.0  # its own weight is negligible
             if len(live) < len(rows):
                 rows = [rows[i] for i in live]
                 arg, re_arg, keep = arg[live], re_arg[live], keep[live]
@@ -829,7 +764,7 @@ def mellin_transforms(f: Callable[[float], float], ss, tol: float = 1e-10,
 
     Every s is a row of both pieces, refined level by level in one pass
     over the rows still active, and f is evaluated once per distinct
-    abscissa of a level that any row uses. Each row keeps its own level
+    abscissa of each level's table that the run reaches. Each row keeps its own level
     sums, budget of ``max_evals`` and errors, so its outcome does not depend
     on the other rows: value, err_abs, n_evals and converged, or the
     error's class, message and n_evals, are those of
@@ -880,12 +815,12 @@ def mellin_transform(f: Callable[[float], float], s, tol: float = 1e-10,
     return _outcome(mellin_transforms(f, [s], tol, max_evals)[0])
 
 
-def _scaled_lower_transform(f, s, x_cut: float, budget: _EvalBudget, tol: float):
+def _scaled_lower_transform(f, s, x_cut: float, tol: float):
     # int_0^{x_cut} x^{s-1} f(x) dx  =  x_cut^s int_0^1 y^{s-1} f(x_cut y) dy
     def g(y):
         return f(x_cut * y)
 
-    rows = _Rows([s], [budget])
+    rows = _Rows([s], [_EvalBudget(MAX_EVALS)])
     piece = _Piece(_LOWER, True, g, rows, tol, _Values())
     piece.converge([0])
     if rows.errors[0] is not None:

@@ -71,14 +71,14 @@ def calls_by_table(monkeypatch):
     calls = {}
     fill = mellin._Values.fill
 
-    def spy(values, f, lv, keep):
+    def spy(values, f, lv):
         xs = calls.setdefault(lv, [])
 
         def counted(x):
             xs.append(x)
             return f(x)
 
-        return fill(values, counted, lv, keep)
+        return fill(values, counted, lv)
 
     monkeypatch.setattr(mellin._Values, "fill", spy)
     return calls

@@ -3,11 +3,15 @@
 default `verify-all` report is byte-stable."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import mpmath
 import pytest
 
+import mellinkit
 from mellinkit import cli, harness, mellin
 from mellinkit.errors import SingularIntegrandError, StripViolationError
 
@@ -320,6 +324,33 @@ class TestInterpRuns:
                                f"inv_one_plus_ax:{a!r}", "--kernel", "pi_csc",
                                "--s", "0.4")
         assert rc == cli.EXIT_PASS and from_csv == out
+
+
+class TestPropsRuns:
+    @pytest.mark.parametrize("m,want", [(None, "m=1"), ("0.4", "m=0.4")])
+    def test_skipped_report_is_named_with_its_shift(self, capsys, no_quadrature, m, want):
+        # gamma_cos_half's weight changes sign, so the check is skipped
+        # before any quadrature; its id carries the shift as a run's does
+        argv = ["props", "--kernel", "gamma_cos_half", "--check", "supermultiplicative"]
+        rc, out, err = _run(capsys, *argv, *(() if m is None else ("--m", m)))
+        assert rc == cli.EXIT_FAIL and err == ""
+        (case,) = json.loads(out)["cases"]
+        assert case["id"] == f"props:supermultiplicative:{want}:gamma_cos_half"
+        assert case["samples"] == [] and case["note"].startswith(
+            "weight nonnegativity precondition failed")
+
+
+def test_cli_imports_no_test_dependency():
+    # numpy is the one runtime dependency (pyproject.toml); mpmath, scipy,
+    # hypothesis and pytest serve the tests only
+    src = str(pathlib.Path(mellinkit.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, mellinkit.cli; print(sorted(m for m in "
+            "('mpmath', 'scipy', 'hypothesis', 'pytest') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["[]"]
 
 
 def test_default_verify_all_json_is_byte_stable(capsys):

@@ -338,6 +338,33 @@ class TestSharedIntegrand:
             tables |= set(calls_by_table)
         assert tables == set(run)
 
+    def test_each_table_is_evaluated_once_in_full(self, calls_by_table):
+        # at s = 1.5 the row keeps no lower-piece node whose prefactor is
+        # below e^-800, yet f is called once at every distinct abscissa of
+        # each table the run reaches, in table order
+        q = mellin_transform(lambda x: x * (x * math.exp(-x)), 1.5, tol=1e-10)
+        assert q.n_evals == self.PINNED[1.5][3]
+        assert calls_by_table and all(xs == lv.uniq_xs for lv, xs in calls_by_table.items())
+        assert q.n_evals < sum(lv.x.size for lv in calls_by_table)
+
+    def test_exception_at_nodes_no_row_keeps_is_never_handed_out(self):
+        # x < 1e-300 only gets a prefactor below e^-800 at s = 1.5, but a
+        # kept one at s = 0.15, which fails with what f raised there
+        raised = []
+
+        def f(x):
+            if x < 1e-300:
+                raised.append(x)
+                raise RuntimeError(f"no value at {x!r}")
+            return x * (x * math.exp(-x))
+
+        q = mellin_transform(f, 1.5, tol=1e-10)
+        assert raised
+        assert q == mellin_transform(lambda x: x * (x * math.exp(-x)), 1.5, tol=1e-10)
+        low, high = mellin_transforms(f, (0.15, 1.5), tol=1e-10)
+        assert type(low) is RuntimeError and str(low).startswith("no value at ")
+        assert high == q
+
     def test_raised_value_reaches_each_row_as_its_own_error(self, calls_by_table):
         # f raises (not as nan) from x = 3 on: each row stops there, with an
         # equal but distinct error carrying its own evaluation count
